@@ -216,17 +216,6 @@ impl<G: Eq + Hash> StatePool<G> {
     pub fn truncate(&mut self, len: usize) {
         self.raw.truncate(len);
     }
-
-    /// Consumes the pool, yielding its distinct states in interning order
-    /// (index `k` of the iterator is the state `StateId(k)` resolved to).
-    ///
-    /// Used when one pool's contents are re-interned into another — e.g.
-    /// stitching the per-subtree pool shards of a parallel unfold back
-    /// into the sequential interning order — so each state moves instead
-    /// of being cloned.
-    pub fn into_states(self) -> impl Iterator<Item = G> {
-        self.raw.values.into_iter()
-    }
 }
 
 impl<G: Eq + Hash> Index<StateId> for StatePool<G> {

@@ -33,16 +33,13 @@
 //! # The build pass
 //!
 //! [`PpsBuilder::build`] applies the same scaling discipline to
-//! validation and indexing: distribution sums are validated once per
-//! distinct memoized expansion when the unfolder marks replays
-//! ([`PpsBuilder::mark_children_shared`]); runs live in one flat node
-//! arena ([`Pps::nodes_of`] borrows a slice, no per-run allocation);
-//! information-set cells are keyed by per-agent interned
-//! [`LocalId`]s (no `G::Local` clone or hash per
-//! node) with run-sets filled a word at a time from each node's
-//! contiguous run interval; and the per-agent cell passes run on separate
-//! threads when [`BuildOptions`] (or the machine) says so — always
-//! producing bit-identical output.
+//! validation and indexing: runs live in one flat node arena
+//! ([`Pps::nodes_of`] borrows a slice, no per-run allocation); and
+//! information-set cells are keyed by per-agent interned [`LocalId`]s
+//! (no `G::Local` clone or hash per node) with run-sets filled a word at
+//! a time from each node's contiguous run interval. Protocol unfolding
+//! builds only the prior this way and grows every later level through a
+//! [`PpsExtender`], which repairs the same indexes incrementally.
 
 use std::collections::{HashMap, HashSet};
 
@@ -72,12 +69,9 @@ pub(crate) struct NodeTable<P> {
     /// non-root node is `depth − 1`.
     depths: Vec<u32>,
     /// Probability of the edge from the parent (`1` for the root), as an
-    /// id into the `probs` pool. Replayed expansion children *share*
-    /// their template's entry — no per-node clone — which also gives the
-    /// build pass a cheap notion of edge identity: run-prefix products
-    /// are memoized per distinct `(prefix, edge id)` pair, so exact
-    /// multiplication runs once per distinct product instead of once per
-    /// node (see `from_parts`).
+    /// id into the `probs` pool. Replayed expansion children
+    /// ([`PpsExtender::append_children_replayed`]) *share* their
+    /// template's entry — no per-node clone.
     edge_prob_ids: Vec<u32>,
     /// The edge-probability pool behind `edge_prob_ids` (append-only;
     /// deduplication comes from replays sharing ids, not from value
@@ -132,31 +126,15 @@ impl<P: Probability> NodeTable<P> {
         edge_prob: P,
         actions: &[(AgentId, ActionId)],
     ) -> NodeId {
+        let id = NodeId(self.parents.len() as u32);
         let lo = self.action_data.len() as u32;
         self.action_data.extend_from_slice(actions);
-        let range = (lo, self.action_data.len() as u32);
-        let prob_id = self.probs.len() as u32;
+        self.action_ranges.push((lo, self.action_data.len() as u32));
+        self.edge_prob_ids.push(self.probs.len() as u32);
         self.probs.push(edge_prob);
-        self.push_shared(parent, state, depth, prob_id, range)
-    }
-
-    /// Appends a node referencing existing pool entries (replayed
-    /// expansions share their representative's probability and actions —
-    /// zero copies, zero clones).
-    fn push_shared(
-        &mut self,
-        parent: NodeId,
-        state: StateId,
-        depth: u32,
-        prob_id: u32,
-        action_range: (u32, u32),
-    ) -> NodeId {
-        let id = NodeId(self.parents.len() as u32);
         self.parents.push(parent);
         self.states.push(Some(state));
         self.depths.push(depth);
-        self.edge_prob_ids.push(prob_id);
-        self.action_ranges.push(action_range);
         id
     }
 
@@ -285,27 +263,6 @@ pub struct Pps<G: GlobalState, P: Probability> {
     cells: Vec<Cell<G::Local>>,
     /// Optional human-readable action names for diagnostics.
     action_names: HashMap<ActionId, String>,
-}
-
-/// Options for [`PpsBuilder::build_with`]: how the validation/indexing
-/// pass executes. The produced [`Pps`] is bit-identical under every
-/// option combination — options trade wall-clock for resources only.
-#[derive(Debug, Clone, Default)]
-pub struct BuildOptions {
-    /// Whether to construct the per-agent information-set cells on one
-    /// thread per agent (`Some(true)`), strictly sequentially
-    /// (`Some(false)`), or to decide from the tree (`None`: threaded when
-    /// there are at least two agents and enough nodes —
-    /// [`PARALLEL_CELLS_MIN_NODES`] — for the per-agent
-    /// work to amortize the thread spawns; small trees pay more for two
-    /// `thread::scope` spawns than their whole cell pass costs). On a
-    /// machine with a single core ([`available_cores`]) every setting —
-    /// including `Some(true)` — builds sequentially: threads cannot
-    /// overlap there, so the spawns would be pure overhead. Agents'
-    /// cell sets are mutually independent and each agent's pass is
-    /// deterministic, so the threaded path is guaranteed to produce the
-    /// same cells, ids, and run-sets as the sequential one.
-    pub parallel_cells: Option<bool>,
 }
 
 impl<G: GlobalState, P: Probability> Pps<G, P> {
@@ -915,20 +872,11 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
     // ------------------------------------------------------------------
 
     /// Internal: builds the validated system from raw builder parts.
-    ///
-    /// `expansion_of[n]`, when set, marks node `n`'s children as a replay
-    /// of the memoized unfolder expansion keyed `(state, time)` (see
-    /// [`PpsBuilder::mark_children_shared`]): the outgoing distribution is
-    /// validated once per distinct key instead of once per node. Unmarked
-    /// nodes — every node of a hand-built tree — take the per-node
-    /// exact-sum path.
     pub(crate) fn from_parts(
         n_agents: u32,
         pool: StatePool<G>,
         raw_nodes: NodeTable<P>,
         action_names: HashMap<ActionId, String>,
-        expansion_of: &[Option<(StateId, Time)>],
-        options: &BuildOptions,
     ) -> Result<Self, PpsError> {
         // The builder's nodes are adopted as-is (no conversion pass);
         // children are gathered into the flat arena by counting sort
@@ -945,38 +893,11 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
 
         // Validate distributions: every internal node's children sum to one.
         // (Per-edge positivity and the ≤ 1 bound are enforced at insertion
-        // time by the builder.) Nodes marked as replays of a memoized
-        // expansion carry clones of the same successor probabilities, so
-        // the exact sum is computed once per distinct `(state, time)` key —
-        // O(distinct expansions), not O(nodes) — with the representative's
-        // child count remembered as a guard: a marked node whose arity
-        // disagrees with its representative fell out of the contract and is
-        // validated individually. The memo (a [`KeyIndex`] over
-        // `state × time`) is only allocated when marks exist at all —
-        // hand-built trees skip it entirely.
-        let mut validated = expansion_of
-            .iter()
-            .any(Option::is_some)
-            .then(|| KeyIndex::new(pool.len(), max_depth));
+        // time by the builder.)
         for i in 0..nodes.len() {
             let children = children_of(i);
             if children.is_empty() {
                 continue;
-            }
-            if let (Some(validated), Some(Some((state, time)))) =
-                (validated.as_mut(), expansion_of.get(i).copied())
-            {
-                // Out-of-range keys (foreign state id, bogus time) simply
-                // miss the memo and validate per-node.
-                if state.index() < pool.len() && (time as usize) < max_depth {
-                    let arity = validated.get(state.index(), time as usize);
-                    if arity == children.len() as u32 {
-                        continue;
-                    }
-                    if arity == INDEX_NONE {
-                        validated.set(state.index(), time as usize, children.len() as u32);
-                    }
-                }
             }
             // A single (deterministic) child must carry probability one
             // exactly; only branching nodes need the accumulator loop.
@@ -1073,59 +994,20 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
         let n_runs = run_probs.len();
         run_ranges[0] = (0, n_runs as u32);
 
-        // Build local-state cells, one independent deterministic pass per
-        // agent (threaded or not — bit-identical either way). Workers read
-        // the node table's state/depth columns and the run intervals
-        // directly; no `P` crosses a thread boundary.
-        let parallel = available_cores() > 1
-            && options
-                .parallel_cells
-                .unwrap_or(n_agents > 1 && nodes.len() >= PARALLEL_CELLS_MIN_NODES);
-        let per_agent: Vec<AgentCells<G::Local>> = if parallel && n_agents > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_agents)
-                    .map(|a| {
-                        let (pool, states, depths, run_ranges) =
-                            (&pool, &nodes.states, &nodes.depths, &run_ranges);
-                        scope.spawn(move || {
-                            build_agent_cells(
-                                AgentId(a),
-                                pool,
-                                states,
-                                depths,
-                                run_ranges,
-                                n_runs,
-                                max_depth,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("cell construction worker panicked"))
-                    .collect()
-            })
-        } else {
-            (0..n_agents)
-                .map(|a| {
-                    build_agent_cells(
-                        AgentId(a),
-                        &pool,
-                        &nodes.states,
-                        &nodes.depths,
-                        &run_ranges,
-                        n_runs,
-                        max_depth,
-                    )
-                })
-                .collect()
-        };
-        // Merge in agent order, offsetting each agent's dense local cell
-        // ids by the cells already emitted: exactly the ids the old
-        // single-threaded interleaved loop assigned.
+        // Build local-state cells one agent at a time, offsetting each
+        // agent's dense local cell ids by the cells already emitted.
         let mut cells: Vec<Cell<G::Local>> = Vec::new();
         let mut cell_of: Vec<Vec<CellId>> = Vec::with_capacity(n_agents as usize);
-        for mut agent_cells in per_agent {
+        for a in 0..n_agents {
+            let mut agent_cells = build_agent_cells(
+                AgentId(a),
+                &pool,
+                &nodes.states,
+                &nodes.depths,
+                &run_ranges,
+                n_runs,
+                max_depth,
+            );
             let offset = cells.len() as u32;
             cells.extend(agent_cells.cells);
             // Remap the agent-local dense ids in place — no reallocation.
@@ -1151,16 +1033,6 @@ impl<G: GlobalState, P: Probability> Pps<G, P> {
         })
     }
 }
-
-/// Node count below which the default build (`BuildOptions::parallel_cells
-/// = None`) keeps the cell passes sequential: spawning one scoped thread
-/// per agent costs tens of microseconds, which a small tree's whole cell
-/// pass undercuts (measured: a ~35 µs loss per build on an 800-node tree).
-/// Forcing `Some(true)` threads at every tree size, but never on a
-/// single-core machine (see [`BuildOptions::parallel_cells`]) — the
-/// differential harness uses the force to prove bit-identity at every
-/// size where threads exist at all.
-pub const PARALLEL_CELLS_MIN_NODES: usize = 1 << 15;
 
 /// Capacity cap, in table cells, below which a `rows × cols` key space
 /// gets a flat dense table; above it, a hash map. Deep chain-like models
@@ -1211,20 +1083,6 @@ impl KeyIndex {
             }
         }
     }
-}
-
-/// The machine's core count, probed once per process. A `static` inside
-/// the generic `from_parts` would be duplicated per monomorphization and
-/// re-probe `available_parallelism` (a tens-of-µs cgroup re-read on
-/// Linux) once per `(G, P)` pair — this free function carries the single
-/// process-wide cache. Public so every auto-threading heuristic in the
-/// workspace (the build pass here, parallel subtree unfolding in
-/// `pak-protocol`) consults the same probe.
-#[must_use]
-pub fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// One agent's finished information sets: cells with agent-local dense ids
@@ -1320,8 +1178,6 @@ pub struct PpsBuilder<G: GlobalState, P: Probability> {
     n_agents: u32,
     pool: StatePool<G>,
     nodes: NodeTable<P>,
-    /// Parallel to `nodes`: [`PpsBuilder::mark_children_shared`] marks.
-    expansion_of: Vec<Option<(StateId, Time)>>,
     action_names: HashMap<ActionId, String>,
 }
 
@@ -1333,7 +1189,6 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
             n_agents,
             pool: StatePool::new(),
             nodes: NodeTable::new_root(),
-            expansion_of: vec![None],
             action_names: HashMap::new(),
         }
     }
@@ -1437,273 +1292,6 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
         self
     }
 
-    /// Adds a successor of `parent` that *replays* the previously inserted
-    /// node `template`: same interned state, same edge probability, same
-    /// action labels (shared by reference into the actions arena — no
-    /// copy). Returns the new node's id.
-    ///
-    /// This is the fast path for the unfolder's memoized expansions: every
-    /// per-edge invariant (positive probability, ≤ 1, action
-    /// well-formedness) was checked when `template` was first inserted
-    /// through [`PpsBuilder::child_interned`], so the replay skips
-    /// re-checking and re-copying. Combine with
-    /// [`PpsBuilder::mark_children_shared`] to also skip the per-node
-    /// distribution sum at build time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `template` is the root or not a node of this builder, or
-    /// if `parent` is not a node of this builder.
-    pub fn child_replayed(&mut self, parent: NodeId, template: NodeId) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
-        let state = self.nodes.states[template.index()].expect("template must not be the root");
-        let prob_id = self.nodes.edge_prob_ids[template.index()];
-        let action_range = self.nodes.action_ranges[template.index()];
-        let depth = self.nodes.depths[parent.index()] + 1;
-        let id = self
-            .nodes
-            .push_shared(parent, state, depth, prob_id, action_range);
-        self.expansion_of.push(None);
-        id
-    }
-
-    /// Bulk sibling of [`PpsBuilder::child_replayed`]: appends `count`
-    /// successors of `parent` replaying the *contiguous* run of template
-    /// nodes starting at `first_template` (the shape every memoized
-    /// unfolder expansion has — its children were inserted back to back).
-    /// Column segments are copied wholesale instead of one interleaved
-    /// push per child, and states, edge probabilities, and action labels
-    /// are shared from the templates by id — no clones, no re-validation.
-    ///
-    /// Returns the id of the first appended child; the remaining
-    /// `count − 1` follow consecutively, with ids, order, and contents
-    /// identical to `count` individual [`PpsBuilder::child_replayed`]
-    /// calls on `first_template`, `first_template + 1`, ….
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not a node of this builder, the template
-    /// range is out of bounds, or it touches the root.
-    pub fn children_replayed(
-        &mut self,
-        parent: NodeId,
-        first_template: NodeId,
-        count: usize,
-    ) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
-        assert!(
-            first_template != NodeId::ROOT || count == 0,
-            "templates must not include the root"
-        );
-        assert!(
-            first_template.index() + count <= self.nodes.len(),
-            "template range out of bounds"
-        );
-        let id = self
-            .nodes
-            .replay_range(parent, first_template.index(), count);
-        self.expansion_of
-            .resize(self.expansion_of.len() + count, None);
-        id
-    }
-
-    /// Grafts the trees of `shards.len()` worker builders under the
-    /// matching `grafts` nodes, consuming the shards: each shard must hold
-    /// exactly one initial node (plus the phantom root), whose state
-    /// equals its graft's, and each graft must be an initial (depth-1)
-    /// node of this builder; every *descendant* of a shard's initial node
-    /// is appended, re-parented so the shard's initial node becomes its
-    /// graft.
-    ///
-    /// This is the stitching half of parallel subtree unfolding: each
-    /// worker unfolds one depth-1 subtree into a private shard (own
-    /// [`StatePool`], own node table), and the shards are interleaved back
-    /// *level by level* — for each depth, every shard's nodes of that
-    /// depth in shard order — which is exactly the order the sequential
-    /// level-order pass would have emitted them. Everything is remapped
-    /// deterministically:
-    ///
-    /// * shard states are re-interned **lazily, in merged emission
-    ///   order** — a shard state enters this builder's pool the first
-    ///   time a merged node carries it — so state ids come out exactly as
-    ///   the sequential pass would have assigned them;
-    /// * node ids are assigned in merged emission order, with parents
-    ///   inside a shard following along and parents at a shard's initial
-    ///   node becoming its graft;
-    /// * [`PpsBuilder::mark_children_shared`] marks transfer with their
-    ///   state ids remapped, including each shard initial node's mark,
-    ///   which lands on its graft.
-    ///
-    /// Edge probabilities and action labels move without copies or
-    /// re-validation (each shard's arenas are appended wholesale and its
-    /// nodes re-point into them by base offset); arena *layout* is not
-    /// part of the bit-identity contract — only node-level values are —
-    /// so wholesale appends are safe even though the sequential pass
-    /// interleaves its arenas differently. The distribution-sum
-    /// invariants are checked as usual by [`PpsBuilder::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths of `grafts` and `shards` differ, agent counts
-    /// differ, a graft is not an initial node of this builder, a shard
-    /// does not hold exactly one initial node, a shard's initial state
-    /// differs from its graft's, or a shard's nodes are not in level
-    /// order (non-decreasing depth — true of every unfolder shard).
-    pub fn absorb_subtrees(&mut self, grafts: &[NodeId], shards: Vec<PpsBuilder<G, P>>) {
-        assert_eq!(
-            grafts.len(),
-            shards.len(),
-            "absorb_subtrees: one graft per shard"
-        );
-        let mut parts: Vec<ShardCursor<G>> = Vec::with_capacity(shards.len());
-        for (&graft, shard) in grafts.iter().zip(shards) {
-            assert_eq!(
-                self.n_agents, shard.n_agents,
-                "absorb_subtrees: agent counts differ"
-            );
-            assert!(
-                graft != NodeId::ROOT && graft.index() < self.nodes.len(),
-                "absorb_subtrees: unknown graft node {graft}"
-            );
-            assert_eq!(
-                self.nodes.depths[graft.index()],
-                1,
-                "absorb_subtrees: graft {graft} is not an initial node"
-            );
-            assert!(
-                shard.nodes.len() >= 2 && shard.nodes.parents[1] == NodeId::ROOT,
-                "absorb_subtrees: shard must hold exactly one initial node"
-            );
-            assert!(
-                shard.nodes.parents[2..].iter().all(|&p| p != NodeId::ROOT),
-                "absorb_subtrees: shard must hold exactly one initial node"
-            );
-            let shard_initial_sid = shard.nodes.states[1].expect("initial node has a state");
-            let graft_sid = self.nodes.states[graft.index()].expect("graft is not the root");
-
-            let base_prob = self.nodes.probs.len() as u32;
-            let base_action = self.nodes.action_data.len() as u32;
-            let NodeTable {
-                parents,
-                states,
-                depths,
-                edge_prob_ids,
-                probs,
-                action_ranges,
-                action_data,
-            } = shard.nodes;
-            // Arenas move wholesale (values, not clones); shard ids
-            // re-point into them by base offset. Shared-id structure —
-            // replayed nodes pointing at one entry — survives the move.
-            self.nodes.probs.extend(probs);
-            self.nodes.action_data.extend(action_data);
-            // States leave the shard pool by value but enter this
-            // builder's pool lazily, on each id's first use in merged
-            // emission order (the sequential interning order).
-            let state_vals: Vec<Option<G>> = shard.pool.into_states().map(Some).collect();
-            let mut part = ShardCursor {
-                parents,
-                states,
-                depths,
-                edge_prob_ids,
-                action_ranges,
-                marks: shard.expansion_of,
-                state_vals,
-                state_remap: vec![INDEX_NONE; 0],
-                node_remap: vec![0; 0],
-                base_prob,
-                base_action,
-                cursor: 2,
-            };
-            part.state_remap = vec![INDEX_NONE; part.state_vals.len()];
-            part.node_remap = vec![0; part.parents.len()];
-            assert_eq!(
-                part.state_vals[shard_initial_sid.index()].as_ref(),
-                Some(&self.pool[graft_sid]),
-                "absorb_subtrees: shard initial state differs from the graft node's"
-            );
-            // The shard's initial state already lives in this builder's
-            // pool as the graft's state — pre-seed the remap so lazy
-            // interning never re-adds it.
-            part.state_remap[shard_initial_sid.index()] = graft_sid.0;
-            part.node_remap[1] = graft.0;
-            if let Some((sid, time)) = part.marks[1] {
-                self.expansion_of[graft.index()] =
-                    Some((part.remap_state(sid, &mut self.pool), time));
-            }
-            parts.push(part);
-        }
-
-        // Interleave: for each depth, each shard's contiguous segment of
-        // that depth, in shard order. Per-shard depth columns are
-        // non-decreasing (level-order shards), so a cursor per shard
-        // walks each segment exactly once; the loop ends at the first
-        // depth where no shard emits (levels are contiguous per shard,
-        // so nothing can remain beyond it).
-        let mut depth = 2u32;
-        loop {
-            let mut emitted = false;
-            for part in &mut parts {
-                while part.cursor < part.parents.len() && part.depths[part.cursor] == depth {
-                    let j = part.cursor;
-                    part.cursor += 1;
-                    emitted = true;
-                    let parent = NodeId(part.node_remap[part.parents[j].index()]);
-                    let sid_local = part.states[j].expect("non-root node has a state");
-                    let sid = part.remap_state(sid_local, &mut self.pool);
-                    let (lo, hi) = part.action_ranges[j];
-                    let id = self.nodes.push_shared(
-                        parent,
-                        sid,
-                        depth,
-                        part.base_prob + part.edge_prob_ids[j],
-                        (lo + part.base_action, hi + part.base_action),
-                    );
-                    part.node_remap[j] = id.0;
-                    let mark = part.marks[j];
-                    self.expansion_of
-                        .push(mark.map(|(s, t)| (part.remap_state(s, &mut self.pool), t)));
-                }
-            }
-            if !emitted {
-                break;
-            }
-            depth += 1;
-        }
-        for part in &parts {
-            assert_eq!(
-                part.cursor,
-                part.parents.len(),
-                "absorb_subtrees: shard nodes must be in level order"
-            );
-        }
-    }
-
-    /// Declares that the children of `node` replay a memoized expansion
-    /// identified by `(state, time)` — the protocol unfolder calls this
-    /// after emitting a node's successors from its `(state, time)` memo.
-    ///
-    /// [`PpsBuilder::build`] then validates the outgoing distribution of
-    /// *one* node per distinct key and reuses the verdict for the rest,
-    /// making validation O(distinct expansions) instead of O(nodes).
-    ///
-    /// # Contract
-    ///
-    /// Marking asserts that every node marked with the same key carries
-    /// clones of one identical `(probability, …)` successor list — true by
-    /// construction for the unfolder's memo replays — and that no child is
-    /// added to a marked node outside that list. Marks are an optimisation
-    /// hint only: hand-built trees never mark and always take the per-node
-    /// exact-sum path, and a marked node whose child count disagrees with
-    /// its key's representative is demoted to per-node validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` does not belong to this builder.
-    pub fn mark_children_shared(&mut self, node: NodeId, state: StateId, time: Time) {
-        self.expansion_of[node.index()] = Some((state, time));
-    }
-
     fn push_node(
         &mut self,
         parent: NodeId,
@@ -1734,12 +1322,10 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
         }
         let depth = self.nodes.depths[parent.index()] + 1;
         self.nodes.push(parent, state, depth, prob, actions);
-        self.expansion_of.push(None);
         Ok(id)
     }
 
-    /// Validates the tree and produces the indexed [`Pps`] with default
-    /// [`BuildOptions`].
+    /// Validates the tree and produces the indexed [`Pps`].
     ///
     /// # Errors
     ///
@@ -1747,74 +1333,13 @@ impl<G: GlobalState, P: Probability> PpsBuilder<G, P> {
     /// [`PpsError::BadDistribution`] if any internal node's outgoing
     /// probabilities do not sum to one.
     pub fn build(self) -> Result<Pps<G, P>, PpsError> {
-        self.build_with(&BuildOptions::default())
-    }
-
-    /// Validates the tree and produces the indexed [`Pps`], with explicit
-    /// control over how the build pass executes (see [`BuildOptions`]).
-    /// The result is bit-identical under every option combination.
-    ///
-    /// # Errors
-    ///
-    /// As [`PpsBuilder::build`].
-    pub fn build_with(self, options: &BuildOptions) -> Result<Pps<G, P>, PpsError> {
-        Pps::from_parts(
-            self.n_agents,
-            self.pool,
-            self.nodes,
-            self.action_names,
-            &self.expansion_of,
-            options,
-        )
-    }
-}
-
-/// One shard's in-flight state during [`PpsBuilder::absorb_subtrees`]:
-/// its node columns, its lazily consumed state values, and the id remaps
-/// built up as merged nodes are emitted.
-struct ShardCursor<G> {
-    parents: Vec<NodeId>,
-    states: Vec<Option<StateId>>,
-    depths: Vec<u32>,
-    edge_prob_ids: Vec<u32>,
-    action_ranges: Vec<(u32, u32)>,
-    marks: Vec<Option<(StateId, Time)>>,
-    /// Shard states by value, taken out on first use.
-    state_vals: Vec<Option<G>>,
-    /// Shard state id → merged state id; `INDEX_NONE` = not yet interned.
-    state_remap: Vec<u32>,
-    /// Shard node id → merged node id (filled as nodes are emitted).
-    node_remap: Vec<u32>,
-    base_prob: u32,
-    base_action: u32,
-    /// Next shard node to emit (0 is the root, 1 the initial node).
-    cursor: usize,
-}
-
-impl<G: GlobalState> ShardCursor<G> {
-    /// The merged id of a shard state, interning its value on first use —
-    /// merged emission order *is* the sequential interning order.
-    fn remap_state(&mut self, local: StateId, pool: &mut StatePool<G>) -> StateId {
-        let slot = &mut self.state_remap[local.index()];
-        if *slot == INDEX_NONE {
-            let state = self.state_vals[local.index()]
-                .take()
-                .expect("each shard state is interned exactly once");
-            *slot = pool.intern(state).0;
-        }
-        StateId(*slot)
+        Pps::from_parts(self.n_agents, self.pool, self.nodes, self.action_names)
     }
 }
 
 impl<G: GlobalState, P: Probability> Default for PpsBuilder<G, P> {
     fn default() -> Self {
-        PpsBuilder {
-            n_agents: 1,
-            pool: StatePool::new(),
-            nodes: NodeTable::new_root(),
-            expansion_of: vec![None],
-            action_names: HashMap::new(),
-        }
+        PpsBuilder::new(1)
     }
 }
 
@@ -2059,9 +1584,13 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
     }
 
     /// Bulk-appends `count` children of frontier leaf `parent` replaying
-    /// the contiguous template range starting at `first_template` — the
-    /// extension sibling of [`PpsBuilder::children_replayed`]. Returns
-    /// the id of the first appended child.
+    /// the contiguous template range starting at `first_template`: each
+    /// column segment is copied wholesale, and states, edge
+    /// probabilities, and action labels are shared from the templates by
+    /// id — no clones, no per-edge re-validation (every template passed
+    /// [`PpsExtender::append_child`]'s checks when it was appended).
+    /// Returns the id of the first appended child; the rest follow
+    /// consecutively.
     ///
     /// # Panics
     ///
@@ -2089,10 +1618,14 @@ impl<G: GlobalState, P: Probability> PpsExtender<G, P> {
     }
 
     /// Declares that the children just appended under `node` replay the
-    /// memoized expansion keyed `(state, time)` — the extension sibling
-    /// of [`PpsBuilder::mark_children_shared`], with the same contract:
+    /// memoized expansion keyed `(state, time)`:
     /// [`PpsExtender::commit_level`] validates the outgoing distribution
     /// of one node per distinct key and reuses the verdict for the rest.
+    ///
+    /// Marking asserts that every node marked with the same key carries
+    /// one identical successor list — true by construction for the
+    /// unfolder's memo replays. A marked node whose child count disagrees
+    /// with its key's representative is validated on its own.
     ///
     /// # Panics
     ///
@@ -2486,47 +2019,6 @@ mod tests {
 
     fn st(env: u64, locals: &[u64]) -> SimpleState {
         SimpleState::new(env, locals.to_vec())
-    }
-
-    /// A two-level tree built twice: once replaying a template expansion
-    /// child by child (`child_replayed`), once with the bulk column copy
-    /// (`children_replayed`). The two must be indistinguishable.
-    #[test]
-    fn bulk_replay_equals_per_child_replay() {
-        let build = |bulk: bool| -> Pps<SimpleState, Rational> {
-            let mut b = B::new(1);
-            let g0 = b.initial(st(0, &[0]), r(1, 2)).unwrap();
-            let g1 = b.initial(st(1, &[0]), r(1, 2)).unwrap();
-            // Template expansion under g0: two children.
-            let t0 = b
-                .child(g0, st(2, &[1]), r(1, 3), &[(AgentId(0), ActionId(0))])
-                .unwrap();
-            let t1 = b.child(g0, st(3, &[2]), r(2, 3), &[]).unwrap();
-            // Replay it under g1.
-            if bulk {
-                b.children_replayed(g1, t0, 2);
-            } else {
-                b.child_replayed(g1, t0);
-                b.child_replayed(g1, t1);
-            }
-            b.build().unwrap()
-        };
-        let per_child = build(false);
-        let bulk = build(true);
-        assert_eq!(per_child.num_nodes(), bulk.num_nodes());
-        assert_eq!(per_child.num_runs(), bulk.num_runs());
-        for n in (1..per_child.num_nodes() as u32).map(NodeId) {
-            assert_eq!(per_child.parent(n), bulk.parent(n), "parent of {n}");
-            assert_eq!(per_child.node_state(n), bulk.node_state(n), "state of {n}");
-            assert_eq!(per_child.node_time(n), bulk.node_time(n), "time of {n}");
-        }
-        for run in per_child.run_ids() {
-            assert_eq!(per_child.nodes_of(run), bulk.nodes_of(run));
-            assert_eq!(per_child.run_probability(run), bulk.run_probability(run));
-        }
-        for (a, b2) in per_child.points().zip(bulk.points()) {
-            assert_eq!(per_child.actions_at(a), bulk.actions_at(b2));
-        }
     }
 
     /// The paper's Figure 1 system: one agent, one initial state, mixed

@@ -320,9 +320,10 @@ impl<G: GlobalState, P: Probability> PpsCache<G, P> {
 /// [`Unfolder::extend_horizon`] level. Snapshots handed to the cache are
 /// `Arc`-wrapped clones, immutable by construction — later growth of the
 /// handle never mutates a served tree. If a *shallower* horizon than the
-/// handle's is requested on a cache miss, it is served by a capped
-/// from-scratch unfold (the handle cannot shrink); the level-order
-/// emission contract guarantees both routes produce bit-identical trees.
+/// handle's is requested on a cache miss, it is served by a fresh session
+/// grown from the prior to that horizon (the handle cannot shrink); the
+/// level-order emission contract guarantees both routes produce
+/// bit-identical trees.
 pub struct CachedUnfolder<'m, M: ProtocolModel<P>, P: Probability> {
     unfolder: Unfolder<'m, M, P>,
     config: UnfoldConfig,
@@ -387,13 +388,8 @@ where
     }
 
     /// As [`CachedUnfolder::pps_at`], polling `cancel` at every level
-    /// boundary (and per frontier node) of the incremental growth path.
-    ///
-    /// The shallower-than-handle path (a capped from-scratch unfold of
-    /// an already-grown prefix) checks the token once up front but is
-    /// not interruptible mid-unfold; it rebuilds a tree the handle has
-    /// already paid for, so its latency is bounded by work the caller
-    /// has previously accepted.
+    /// boundary (and per frontier node) of both the retained handle's
+    /// growth and the fresh session that serves a shallower horizon.
     ///
     /// # Errors
     ///
@@ -414,13 +410,15 @@ where
             if cancel.is_cancelled() {
                 return Err(UnfoldError::Cancelled);
             }
-            // The handle has already grown past this horizon; a capped
-            // from-scratch unfold serves the shallower tree.
-            let capped = UnfoldConfig {
-                horizon: Some(horizon),
+            // The handle has already grown past this horizon; a fresh
+            // session grown from the prior serves the shallower tree.
+            let prior = UnfoldConfig {
+                horizon: Some(0),
                 ..self.config.clone()
             };
-            Arc::new(Unfolder::new(self.model, capped)?.into_pps())
+            let mut fresh = Unfolder::new(self.model, prior)?;
+            while fresh.horizon() < horizon && fresh.extend_horizon_with(cancel)? {}
+            Arc::new(fresh.into_pps())
         } else {
             while self.unfolder.horizon() < horizon && self.unfolder.extend_horizon_with(cancel)? {}
             Arc::new(self.unfolder.pps().clone())
@@ -593,6 +591,107 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.bytes, t3.memory_footprint());
+    }
+
+    /// A table model that trips a clone of a caller's [`CancelToken`] on
+    /// its first expansion at time ≥ 2 once armed, and then disarms.
+    struct TrippingModel {
+        inner: pak_protocol::model::TableModel<Rational>,
+        token: CancelToken,
+        armed: std::cell::Cell<bool>,
+    }
+
+    impl ProtocolModel<Rational> for TrippingModel {
+        type Global = pak_core::state::SimpleState;
+        type Move = Option<pak_core::ids::ActionId>;
+
+        fn n_agents(&self) -> u32 {
+            self.inner.n_agents
+        }
+
+        fn initial_states(&self) -> Vec<(Self::Global, Rational)> {
+            self.inner.initial_states()
+        }
+
+        fn is_terminal(&self, state: &Self::Global, time: Time) -> bool {
+            ProtocolModel::<Rational>::is_terminal(&self.inner, state, time)
+        }
+
+        fn moves_into(
+            &self,
+            agent: AgentId,
+            local: &u64,
+            time: Time,
+            out: &mut Vec<(Self::Move, Rational)>,
+        ) {
+            if time >= 2 && self.armed.replace(false) {
+                self.token.cancel();
+            }
+            self.inner.moves_into(agent, local, time, out);
+        }
+
+        fn action_of(&self, mv: &Self::Move) -> Option<pak_core::ids::ActionId> {
+            *mv
+        }
+
+        fn transition_into(
+            &self,
+            state: &Self::Global,
+            moves: &[Self::Move],
+            time: Time,
+            out: &mut Vec<(Self::Global, Rational)>,
+        ) {
+            self.inner.transition_into(state, moves, time, out);
+        }
+    }
+
+    impl ModelFingerprint for TrippingModel {
+        fn fingerprint(&self) -> Fingerprint {
+            self.inner.fingerprint()
+        }
+    }
+
+    #[test]
+    fn shallower_rebuild_honours_cancellation_mid_unfold() {
+        let cache = PpsCache::new();
+        let token = CancelToken::new();
+        let model = TrippingModel {
+            inner: random_model::<Rational>(29, &cfg(5)),
+            token: token.clone(),
+            armed: std::cell::Cell::new(false),
+        };
+        let mut session = CachedUnfolder::<_, Rational>::new(&model, UnfoldConfig::default())
+            .expect("session opens");
+        session.pps_at(&cache, 4).expect("grow the handle to 4");
+        let scratch = unfold_with::<_, Rational>(
+            &model.inner,
+            &UnfoldConfig {
+                horizon: Some(3),
+                ..UnfoldConfig::default()
+            },
+        )
+        .expect("scratch unfold");
+        // Several time-2 nodes: the trip on the first one is seen by the
+        // per-node poll before the level can commit.
+        assert!(scratch.live_runs_at(2).len() >= 2);
+        // The shallower horizon misses the cache and rebuilds from the
+        // prior; the model trips the token inside that rebuild.
+        model.armed.set(true);
+        assert!(!token.is_cancelled());
+        let err = session.pps_at_with(&cache, 3, &token).unwrap_err();
+        assert_eq!(err, UnfoldError::Cancelled);
+        assert!(token.is_cancelled());
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(session.fingerprint(), 3).is_none());
+        // The session still serves: the handle kept its horizon, and the
+        // retried rebuild matches a fresh unfold.
+        assert_eq!(session.horizon(), 4);
+        let t3 = session.pps_at(&cache, 3).expect("retry serves");
+        assert_eq!(t3.num_nodes(), scratch.num_nodes());
+        for run in scratch.run_ids() {
+            assert_eq!(t3.run_probability(run), scratch.run_probability(run));
+        }
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

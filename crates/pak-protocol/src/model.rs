@@ -9,7 +9,7 @@
 //! [`ProtocolModel`] captures exactly this structure. Two properties of the
 //! paper's setting are enforced by the shape of the trait:
 //!
-//! * **Locality** — [`ProtocolModel::moves`] receives only the agent's own
+//! * **Locality** — [`ProtocolModel::moves_into`] receives only the agent's own
 //!   local data (plus the time, which a synchronous agent always knows), so
 //!   a protocol physically cannot read other agents' states.
 //! * **Bounded termination** — [`ProtocolModel::is_terminal`] must
@@ -18,30 +18,22 @@
 //!
 //! # The scratch-buffer (`_into`) API
 //!
-//! [`ProtocolModel::moves`] and [`ProtocolModel::transition`] return owned
-//! `Vec`s — convenient to implement, but the unfolder and simulator call
-//! them in a tight loop, and a fresh allocation per query was the last
-//! per-expansion allocation of the pipeline. The hot paths therefore drive
-//! the appending siblings [`ProtocolModel::moves_into`] and
-//! [`ProtocolModel::transition_into`], which write into a caller-owned
-//! scratch buffer that is cleared and reused across queries. Both have
-//! default implementations delegating to the `Vec`-returning methods, so a
-//! model only implementing the owned API keeps working unchanged; models
-//! on hot paths (every model in this workspace) implement the `_into`
-//! variants natively and allocate nothing per query.
+//! A model answers through [`ProtocolModel::moves_into`] and
+//! [`ProtocolModel::transition_into`], which append to a caller-owned
+//! buffer that the unfolder and simulator clear and reuse across queries,
+//! so a query allocates nothing. [`ProtocolModel::moves`] and
+//! [`ProtocolModel::transition`] are provided collectors over them, for
+//! callers that probe a model directly.
 //!
-//! The contract on a native `_into` implementation is strict — the
-//! differential harness (`tests/unfold_differential.rs` and
-//! `tests/systems_unfold_smoke.rs`) holds every model to it:
+//! The contract on an implementation is strict:
 //!
-//! * it must **append** to `out` exactly the entries the `Vec`-returning
-//!   method would return, in the same order, with bit-equal probabilities
-//!   (callers clear the buffer; implementations never read or truncate it);
+//! * it must **append** to `out` (callers clear the buffer;
+//!   implementations never read or truncate it);
 //! * it must be **pure**: a function of its arguments only, so that the
-//!   unfolder's `(state, time)` expansion memo and the parallel subtree
-//!   unfolding of [`mod@crate::unfold`] may call it once and replay the
-//!   result anywhere. Purity outlives a single unfold: a retained
-//!   [`Unfolder`](crate::unfold::Unfolder) keeps the memo alive across
+//!   unfolder's `(state, time)` expansion memo ([`mod@crate::unfold`])
+//!   may call it once and replay the result anywhere. Purity outlives a
+//!   single unfold: a retained [`Unfolder`](crate::unfold::Unfolder)
+//!   keeps the memo alive across
 //!   [`extend_horizon`](crate::unfold::Unfolder::extend_horizon) calls,
 //!   so an expansion computed while building horizon `h` may be replayed
 //!   verbatim while growing to `h + 1` and beyond — a model whose answers
@@ -97,67 +89,63 @@ pub trait ProtocolModel<P: Probability> {
     /// Must eventually hold on every path.
     fn is_terminal(&self, state: &Self::Global, time: Time) -> bool;
 
-    /// Agent `agent`'s mixed move distribution at its local state `local`
-    /// and time `time` — the paper's `P_i(ℓ_i) ∈ Δ(Act_i)`.
+    /// Appends agent `agent`'s mixed move distribution at its local state
+    /// `local` and time `time` to `out` — the paper's
+    /// `P_i(ℓ_i) ∈ Δ(Act_i)`.
     ///
-    /// The returned distribution must be non-empty with probabilities
+    /// The appended distribution must be non-empty with probabilities
     /// summing to one. A singleton distribution is a deterministic step.
-    fn moves(
-        &self,
-        agent: AgentId,
-        local: &<Self::Global as GlobalState>::Local,
-        time: Time,
-    ) -> Vec<(Self::Move, P)>;
-
-    /// The action recorded on the run history for a move (`None` when the
-    /// move is a skip that should not appear as a `does_i` event).
-    fn action_of(&self, mv: &Self::Move) -> Option<ActionId>;
-
-    /// The environment's resolution of the joint moves at `state`: a
-    /// distribution over successor global states (non-empty, summing to
-    /// one). `moves[i]` is agent `i`'s chosen move.
-    fn transition(
-        &self,
-        state: &Self::Global,
-        moves: &[Self::Move],
-        time: Time,
-    ) -> Vec<(Self::Global, P)>;
-
-    /// Appends agent `agent`'s mixed move distribution at `(local, time)`
-    /// to `out` — the allocation-free sibling of [`ProtocolModel::moves`]
-    /// driven by the unfolder and simulator through reusable scratch
-    /// buffers.
-    ///
-    /// The default delegates to [`ProtocolModel::moves`]; native
-    /// implementations must append exactly the entries `moves` would
-    /// return, in the same order, with bit-equal probabilities, and must
-    /// not read or modify `out`'s existing contents (see the module docs
-    /// for the full contract).
+    /// Implementations must not read or modify `out`'s existing contents
+    /// (see the module docs for the full contract).
     fn moves_into(
         &self,
         agent: AgentId,
         local: &<Self::Global as GlobalState>::Local,
         time: Time,
         out: &mut Vec<(Self::Move, P)>,
-    ) {
-        out.extend(self.moves(agent, local, time));
-    }
+    );
 
-    /// Appends the environment's resolution of `moves` at `(state, time)`
-    /// to `out` — the allocation-free sibling of
-    /// [`ProtocolModel::transition`].
-    ///
-    /// Same contract as [`ProtocolModel::moves_into`]: append exactly what
-    /// `transition` would return, in order, bit-equal, leaving `out`'s
-    /// existing contents untouched.
+    /// The action recorded on the run history for a move (`None` when the
+    /// move is a skip that should not appear as a `does_i` event).
+    fn action_of(&self, mv: &Self::Move) -> Option<ActionId>;
+
+    /// Appends the environment's resolution of the joint moves at `state`
+    /// to `out`: a distribution over successor global states (non-empty,
+    /// summing to one). `moves[i]` is agent `i`'s chosen move. Same
+    /// append-only contract as [`ProtocolModel::moves_into`].
     fn transition_into(
         &self,
         state: &Self::Global,
         moves: &[Self::Move],
         time: Time,
         out: &mut Vec<(Self::Global, P)>,
-    ) {
-        out.extend(self.transition(state, moves, time));
+    );
+
+    /// Agent `agent`'s mixed move distribution at `(local, time)`, collected
+    /// from [`ProtocolModel::moves_into`] into a fresh `Vec`.
+    fn moves(
+        &self,
+        agent: AgentId,
+        local: &<Self::Global as GlobalState>::Local,
+        time: Time,
+    ) -> Vec<(Self::Move, P)> {
+        let mut out = Vec::new();
+        self.moves_into(agent, local, time, &mut out);
+        out
+    }
+
+    /// The environment's resolution of `moves` at `(state, time)`,
+    /// collected from [`ProtocolModel::transition_into`] into a fresh
+    /// `Vec`.
+    fn transition(
+        &self,
+        state: &Self::Global,
+        moves: &[Self::Move],
+        time: Time,
+    ) -> Vec<(Self::Global, P)> {
+        let mut out = Vec::new();
+        self.transition_into(state, moves, time, &mut out);
+        out
     }
 }
 
@@ -222,16 +210,8 @@ impl<P: Probability> ProtocolModel<P> for CoinModel {
         time >= 1
     }
 
-    fn moves(&self, _agent: AgentId, _local: &u8, _time: Time) -> Vec<((), P)> {
-        vec![((), P::one())]
-    }
-
     fn action_of(&self, _mv: &()) -> Option<ActionId> {
         Some(COIN_ACT)
-    }
-
-    fn transition(&self, state: &CoinState, _moves: &[()], _time: Time) -> Vec<(CoinState, P)> {
-        vec![(state.clone(), P::one())]
     }
 
     fn moves_into(&self, _agent: AgentId, _local: &u8, _time: Time, out: &mut Vec<((), P)>) {
@@ -567,12 +547,6 @@ impl<P: Probability> ProtocolModel<P> for TableModel<P> {
         time >= self.horizon
     }
 
-    fn moves(&self, agent: AgentId, local: &u64, time: Time) -> Vec<(Self::Move, P)> {
-        self.index()
-            .move_entry(agent.0, *local, time)
-            .map_or_else(|| vec![(None, P::one())], |i| self.moves[i].1.clone())
-    }
-
     fn moves_into(&self, agent: AgentId, local: &u64, time: Time, out: &mut Vec<(Self::Move, P)>) {
         // The indexed position is read in place: entries are cloned into
         // the caller's buffer one by one, but the row `Vec` itself is
@@ -585,17 +559,6 @@ impl<P: Probability> ProtocolModel<P> for TableModel<P> {
 
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
         *mv
-    }
-
-    fn transition(
-        &self,
-        state: &Self::Global,
-        moves: &[Self::Move],
-        time: Time,
-    ) -> Vec<(Self::Global, P)> {
-        let mut out = Vec::new();
-        self.transition_into(state, moves, time, &mut out);
-        out
     }
 
     fn transition_into(
@@ -706,84 +669,6 @@ impl<P: Probability> ModelFingerprint for TableModel<P> {
         }
         Fingerprint(h.finish())
     }
-}
-
-impl<M: ModelFingerprint> ModelFingerprint for VecApiModel<M> {
-    fn fingerprint(&self) -> Fingerprint {
-        self.0.fingerprint()
-    }
-}
-
-/// Adapter pinning a model to its `Vec`-returning API: every
-/// scratch-buffer query on the wrapper goes through the *default*
-/// [`ProtocolModel::moves_into`] / [`ProtocolModel::transition_into`]
-/// implementations, never the wrapped model's native ones.
-///
-/// This exists for the differential test layer
-/// (`tests/unfold_differential.rs`, `tests/systems_unfold_smoke.rs`):
-/// unfolding `m` and `VecApiModel(m)` must produce identical systems —
-/// bit-equal run probabilities, identical cells — which is what proves a
-/// native `_into` implementation honours the contract in the module docs.
-///
-/// # Examples
-///
-/// ```
-/// use pak_protocol::model::{CoinModel, ProtocolModel, VecApiModel};
-/// use pak_protocol::unfold::unfold;
-/// use pak_num::Rational;
-///
-/// let m = CoinModel { heads_num: 1, heads_den: 2 };
-/// let native = unfold::<_, Rational>(&m).unwrap();
-/// let defaulted = unfold::<_, Rational>(&VecApiModel(m)).unwrap();
-/// assert_eq!(native.num_runs(), defaulted.num_runs());
-/// ```
-#[derive(Debug, Clone)]
-pub struct VecApiModel<M>(pub M);
-
-impl<M, P> ProtocolModel<P> for VecApiModel<M>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
-    type Global = M::Global;
-    type Move = M::Move;
-
-    fn n_agents(&self) -> u32 {
-        self.0.n_agents()
-    }
-
-    fn initial_states(&self) -> Vec<(Self::Global, P)> {
-        self.0.initial_states()
-    }
-
-    fn is_terminal(&self, state: &Self::Global, time: Time) -> bool {
-        self.0.is_terminal(state, time)
-    }
-
-    fn moves(
-        &self,
-        agent: AgentId,
-        local: &<Self::Global as GlobalState>::Local,
-        time: Time,
-    ) -> Vec<(Self::Move, P)> {
-        self.0.moves(agent, local, time)
-    }
-
-    fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
-        self.0.action_of(mv)
-    }
-
-    fn transition(
-        &self,
-        state: &Self::Global,
-        moves: &[Self::Move],
-        time: Time,
-    ) -> Vec<(Self::Global, P)> {
-        self.0.transition(state, moves, time)
-    }
-
-    // `moves_into`/`transition_into` deliberately NOT forwarded: the
-    // defaults route through the `Vec` methods above, which is the point.
 }
 
 /// Validates that a move or transition distribution is well formed (used by

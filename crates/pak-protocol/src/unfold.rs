@@ -14,7 +14,7 @@
 //!
 //! Two successors of a node are merged exactly when their joint-action
 //! labels and their global states both compare equal. Every successor
-//! state is first *interned* into the builder's
+//! state is first *interned* into the tree's
 //! [`StatePool`](pak_core::intern::StatePool) — a hash-keyed arena storing
 //! each distinct state once — so the merge probe compares copyable
 //! [`StateId`]s instead of full states, and no state is ever cloned into
@@ -33,54 +33,40 @@
 //! The unfolder queries the model exclusively through the scratch-buffer
 //! API — [`ProtocolModel::moves_into`] and
 //! [`ProtocolModel::transition_into`], cleared-and-reused buffers, no
-//! allocation per query — and treats both (equivalently, the
-//! `Vec`-returning methods their defaults delegate to) as *pure
-//! functions* of their arguments: because interning makes state identity
-//! explicit, expansions are memoized per `(state, time)` and replayed for
-//! every tree node that revisits the pair, so the model's methods may be
+//! allocation per query — and treats both as *pure functions* of their
+//! arguments: because interning makes state identity explicit,
+//! expansions are memoized per `(state, time)` and replayed for every
+//! tree node that revisits the pair, so the model's methods may be
 //! called once where a naive enumeration would call them many times.
 //! Models whose distributions depend on hidden mutable state would
 //! produce unspecified (though still validated) trees — no model in this
 //! workspace does.
 //!
-//! The memo is also threaded into the *build* pass: each expanded node is
-//! marked with its `(state, time)` key
-//! ([`PpsBuilder::mark_children_shared`]), so validation sums each
-//! distinct expansion's outgoing distribution once instead of re-checking
-//! every replayed node with exact arithmetic.
+//! # One path: the prior, then level by level
 //!
-//! # Level-order emission and incremental horizon extension
+//! Every tree is grown the same way. [`Unfolder::new`] builds the prior
+//! (the root and the initial states) with a [`PpsBuilder`], wraps it in a
+//! [`PpsExtender`], and then expands the frontier one level at a time up
+//! to [`UnfoldConfig::horizon`]; [`unfold`] and [`unfold_with`] are that
+//! constructor followed by [`Unfolder::into_pps`]. Each level expands
+//! every node of time `t` before any node of time `t + 1`, appends the
+//! children through the extender, and commits: the extender validates
+//! the new distributions — once per distinct memoized expansion, since
+//! replayed children are marked with their `(state, time)` key — and
+//! incrementally repairs the run and cell indexes.
 //!
-//! The frontier is processed in **level order**: every node of time `t`
-//! is expanded before any node of time `t + 1`. This makes the
-//! horizon-`h` tree a strict *prefix* of the horizon-`h + 1` tree — node
-//! ids, pool ids, arenas and all — which is what lets a tree **grow**
-//! instead of being rebuilt: a retained [`Unfolder`] handle keeps the
-//! model, the `(state, time)` memo, the scratch buffers, and the frontier
-//! alive between calls, and [`Unfolder::extend_horizon`] expands just the
-//! previous leaf frontier, appending through a
-//! [`PpsExtender`] that incrementally repairs the run and cell indexes.
+//! Level-order emission makes the horizon-`h` tree a strict *prefix* of
+//! the horizon-`h + 1` tree — node ids, pool ids, arenas and all — which
+//! is what lets a retained [`Unfolder`] keep growing:
+//! [`Unfolder::extend_horizon`] runs the same level step on the retained
+//! frontier, reusing the `(state, time)` memo and the scratch buffers.
 //! The purity contract is what makes retained-memo replay across
-//! extensions sound, and the grown tree is bit-identical to a
-//! from-scratch unfold capped at the same horizon
-//! ([`UnfoldConfig::horizon`]) — proved by the incremental-vs-scratch
-//! sweep in `tests/unfold_differential.rs` and on every `pak-systems`
-//! scenario by `tests/systems_unfold_smoke.rs`.
-//!
-//! # Determinism and parallel unfolding
-//!
-//! Purity is also what makes the depth-1 subtrees of the tree — one per
-//! initial state — mutually independent: no expansion in one subtree can
-//! observe another. [`unfold_with_options`] exploits this behind
-//! [`UnfoldOptions::parallel_subtrees`], unfolding each subtree on a
-//! worker with its own scratch state, memo, and
-//! [`StatePool`](pak_core::intern::StatePool) shard, then stitching the
-//! shards back level-interleaved ([`PpsBuilder::absorb_subtrees`]) in the
-//! exact order the sequential level-order frontier would have emitted
-//! them. The guarantee is strict determinism, not mere equivalence: same
-//! pool ids, same node order, bit-equal probabilities, identical cells —
-//! proved across the seeded sweep by `tests/unfold_differential.rs` and
-//! on every `pak-systems` scenario by `tests/systems_unfold_smoke.rs`.
+//! extensions sound. The grown tree is bit-identical to a fresh unfold
+//! capped at the same horizon; `tests/unfold_differential.rs` checks
+//! every intermediate horizon against independent references (a
+//! Debug-string merge and a per-node cell construction), and
+//! `tests/systems_unfold_smoke.rs` checks grown against fresh on every
+//! `pak-systems` scenario.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -91,7 +77,7 @@ use pak_core::error::PpsError;
 use pak_core::failpoint::{self, Fault};
 use pak_core::hash::{FxBuildHasher, FxHasher};
 use pak_core::ids::{ActionId, AgentId, NodeId, StateId, Time};
-use pak_core::pps::{available_cores, BuildOptions, Pps, PpsBuilder, PpsExtender};
+use pak_core::pps::{Pps, PpsBuilder, PpsExtender};
 use pak_core::prob::Probability;
 use pak_core::state::GlobalState;
 
@@ -117,10 +103,9 @@ pub struct UnfoldConfig {
     /// model is not yet terminal (`Some(0)` yields just the prior).
     /// Unlike [`UnfoldConfig::max_depth`] — a safety net whose violation
     /// is an *error* — hitting the horizon is a normal, successful stop:
-    /// it is how a from-scratch unfold reproduces the intermediate trees
-    /// of incremental growth ([`Unfolder::extend_horizon`]), which is
-    /// exactly what the differential harness compares. `None` (the
-    /// default) trusts [`ProtocolModel::is_terminal`] alone.
+    /// a handle built with `Some(h)` can later grow past `h` through
+    /// [`Unfolder::extend_horizon`]. `None` (the default) trusts
+    /// [`ProtocolModel::is_terminal`] alone.
     pub horizon: Option<Time>,
 }
 
@@ -132,42 +117,6 @@ impl Default for UnfoldConfig {
             horizon: None,
         }
     }
-}
-
-/// Options for [`unfold_with_options`]: how the unfolding pass executes
-/// (mirroring [`BuildOptions`] for the build pass). The produced system is
-/// bit-identical under every option combination — options trade wall-clock
-/// for resources only.
-#[derive(Debug, Clone, Default)]
-pub struct UnfoldOptions {
-    /// Whether to unfold the independent depth-1 subtrees (one per initial
-    /// state) on worker threads (`Some(true)`), strictly sequentially
-    /// (`Some(false)`), or to let the library decide (`None`). Each
-    /// worker unfolds its subtree with private scratch state into its own
-    /// [`PpsBuilder`] shard — pool, nodes, memo and all — and the shards
-    /// are then stitched back in the exact order the sequential pass
-    /// would have emitted, so pool ids, node order, and every probability
-    /// are identical to the sequential result (proved by the differential
-    /// harness). With fewer than two initial states there is nothing to
-    /// partition and the sequential path runs regardless.
-    ///
-    /// `None` currently resolves to *sequential*: unlike the build pass —
-    /// whose auto-threading is gated on a node count it can inspect
-    /// ([`pak_core::pps::PARALLEL_CELLS_MIN_NODES`]) — the tree size is
-    /// unknown before unfolding, and on the workloads measured so far
-    /// thread-spawn overhead exceeds the win. Pass `Some(true)` to opt in
-    /// on workloads/machines where the subtrees are large enough to
-    /// amortize the workers. On a **single-core machine** even
-    /// `Some(true)` runs sequentially: workers that cannot overlap are
-    /// pure overhead, and the stitching contract makes the fallback
-    /// observationally identical anyway.
-    ///
-    /// On *erroring* models the parallel path returns an error whenever
-    /// the sequential one does, but when several subtrees violate
-    /// different limits the reported error may name a different one.
-    pub parallel_subtrees: Option<bool>,
-    /// Options forwarded to the validation/indexing build pass.
-    pub build: BuildOptions,
 }
 
 /// Error produced by [`unfold`].
@@ -265,7 +214,8 @@ where
     unfold_with(model, &UnfoldConfig::default())
 }
 
-/// Unfolds a protocol model with explicit limits.
+/// Unfolds a protocol model with explicit limits: [`Unfolder::new`]
+/// followed by [`Unfolder::into_pps`].
 ///
 /// # Errors
 ///
@@ -275,241 +225,7 @@ where
     M: ProtocolModel<P>,
     P: Probability,
 {
-    Ok(unfold_to_builder(model, config)?.build()?)
-}
-
-/// Unfolds a protocol model into the raw (not yet validated) tree,
-/// stopping just before [`PpsBuilder::build`].
-///
-/// This exposes the pipeline's two phases separately: tree construction
-/// (this function) and the validation/indexing build pass (`build`, or
-/// [`PpsBuilder::build_with`] for explicit [`BuildOptions`]). Profilers
-/// use it to
-/// attribute time per phase; the differential harness uses it to prove
-/// the sequential and threaded build paths bit-identical on one tree.
-///
-/// # Errors
-///
-/// See [`UnfoldError`] — everything except [`UnfoldError::Pps`], which can
-/// only arise from the deferred build step.
-pub fn unfold_to_builder<M, P>(
-    model: &M,
-    config: &UnfoldConfig,
-) -> Result<PpsBuilder<M::Global, P>, UnfoldError>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
-    let n_agents = model.n_agents();
-    let initial = model.initial_states();
-    validate_distribution(&initial).map_err(|detail| UnfoldError::BadModelDistribution {
-        origin: "initial_states",
-        detail,
-    })?;
-    unfold_sequential(model, n_agents, initial, config)
-}
-
-/// The shared sequential pass over a pre-validated prior: seeds one
-/// [`ExpansionCore`] with every initial state and expands level by level
-/// to exhaustion (or to `config.horizon`). Both [`unfold_to_builder`] and
-/// the declined-parallelism path of [`unfold_to_builder_with_options`]
-/// run exactly this, so the two entry points cannot drift apart.
-fn unfold_sequential<M, P>(
-    model: &M,
-    n_agents: u32,
-    initial: Vec<(M::Global, P)>,
-    config: &UnfoldConfig,
-) -> Result<PpsBuilder<M::Global, P>, UnfoldError>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
-    if initial.len() > config.max_nodes {
-        return Err(UnfoldError::TooLarge {
-            max_nodes: config.max_nodes,
-        });
-    }
-    let mut core = ExpansionCore::new(model, n_agents);
-    let mut builder = PpsBuilder::new(n_agents);
-    core.seed(&mut builder, initial)?;
-    core.run_levels(&mut builder, 0, config.horizon, config)?;
-    Ok(builder)
-}
-
-/// Unfolds a protocol model with explicit limits *and* execution options:
-/// the parallel sibling of [`unfold_with`], and the only entry point for
-/// [`UnfoldOptions::parallel_subtrees`].
-///
-/// The depth-1 subtrees of the tree — one per initial state — are mutually
-/// independent: the purity contract makes every expansion a function of
-/// `(state, time)` alone, so each subtree can be unfolded by a worker with
-/// its own scratch state, [`StatePool`](pak_core::intern::StatePool)
-/// shard, and memo, and the shards stitched back level-interleaved
-/// ([`PpsBuilder::absorb_subtrees`]) in the exact order the sequential
-/// frontier would have emitted them. The stitched system is **identical**
-/// to the sequential one — same pool ids, same node order, bit-equal
-/// probabilities — which `tests/unfold_differential.rs` proves across the
-/// seeded sweep.
-///
-/// The extra bounds (`M: Sync`, `P: Send`) let worker threads share the
-/// model and return their shards; every model and probability type in this
-/// workspace satisfies them.
-///
-/// # Errors
-///
-/// See [`UnfoldError`].
-pub fn unfold_with_options<M, P>(
-    model: &M,
-    config: &UnfoldConfig,
-    options: &UnfoldOptions,
-) -> Result<Pps<M::Global, P>, UnfoldError>
-where
-    M: ProtocolModel<P> + Sync,
-    P: Probability + Send,
-{
-    Ok(unfold_to_builder_with_options(model, config, options)?.build_with(&options.build)?)
-}
-
-/// The builder-returning sibling of [`unfold_with_options`] (see
-/// [`unfold_to_builder`] for why the two phases are exposed separately).
-///
-/// # Errors
-///
-/// See [`UnfoldError`] — everything except [`UnfoldError::Pps`], which can
-/// only arise from the deferred build step.
-pub fn unfold_to_builder_with_options<M, P>(
-    model: &M,
-    config: &UnfoldConfig,
-    options: &UnfoldOptions,
-) -> Result<PpsBuilder<M::Global, P>, UnfoldError>
-where
-    M: ProtocolModel<P> + Sync,
-    P: Probability + Send,
-{
-    let n_agents = model.n_agents();
-    let initial = model.initial_states();
-    validate_distribution(&initial).map_err(|detail| UnfoldError::BadModelDistribution {
-        origin: "initial_states",
-        detail,
-    })?;
-    // `None` resolves to sequential (see `UnfoldOptions::parallel_subtrees`
-    // — pre-unfold there is no tree-size signal to gate on, and spawn
-    // overhead beats the win on every workload measured so far).
-    // `Some(true)` opts into the worker path whenever there are two
-    // subtrees to partition *and* more than one core to run them on — on
-    // a single core the workers cannot overlap and are pure overhead, so
-    // the sequential pass (bit-identical by the stitching contract) runs
-    // instead.
-    let parallel = available_cores() > 1 && options.parallel_subtrees.unwrap_or(false);
-    if !parallel || initial.len() < 2 {
-        // Nothing to partition (or parallelism declined): run the
-        // sequential pass on the already-validated prior.
-        return unfold_sequential(model, n_agents, initial, config);
-    }
-
-    let n_initial = initial.len();
-    if n_initial > config.max_nodes {
-        return Err(UnfoldError::TooLarge {
-            max_nodes: config.max_nodes,
-        });
-    }
-
-    // The stitched builder: the root and every initial node, in prior
-    // order — exactly the nodes the sequential pass creates before its
-    // first expansion.
-    let mut builder = PpsBuilder::<M::Global, P>::new(n_agents);
-    let mut graft_points: Vec<NodeId> = Vec::with_capacity(n_initial);
-    for (state, p) in &initial {
-        let sid = builder.intern(state.clone());
-        graft_points.push(builder.initial_interned(sid, p.clone())?);
-    }
-
-    // One worker shard per initial state, strided over at most
-    // `available_cores` threads. Each shard is a complete miniature
-    // unfold — own builder, own pool, own memo, own scratch — of one
-    // depth-1 subtree, seeded with the sequential pass's pre-subtree node
-    // count so the first-processed subtree sees exactly the budget the
-    // sequential pass would give it.
-    type Shard<G, P2> = Result<(PpsBuilder<G, P2>, usize), UnfoldError>;
-    let n_workers = available_cores().min(n_initial);
-    let mut shards: Vec<Option<Shard<M::Global, P>>> = (0..n_initial).map(|_| None).collect();
-    // Strided pre-partition: worker `w` owns initial states `w, w + n, …`
-    // (owned clones, so workers need no shared access to `P`).
-    let mut work: Vec<Vec<(usize, M::Global, P)>> = (0..n_workers).map(|_| Vec::new()).collect();
-    for (i, (state, p)) in initial.into_iter().enumerate() {
-        work[i % n_workers].push((i, state, p));
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .into_iter()
-            .map(|items| {
-                scope.spawn(move || {
-                    items
-                        .into_iter()
-                        .map(|(i, state, p)| {
-                            (
-                                i,
-                                unfold_subtree(model, n_agents, state, p, n_initial, config),
-                            )
-                        })
-                        .collect::<Vec<(usize, Shard<M::Global, P>)>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, shard) in handle.join().expect("unfold worker panicked") {
-                shards[i] = Some(shard);
-            }
-        }
-    });
-
-    // Stitch in the sequential emission order: the frontier is processed
-    // level by level, subtrees in prior order within each level, which is
-    // exactly the interleaving `absorb_subtrees` reproduces from forward
-    // shard order. The running node total re-imposes the global
-    // `max_nodes` cap that each worker only saw locally.
-    let mut total = n_initial;
-    let mut collected = Vec::with_capacity(n_initial);
-    for shard in &mut shards {
-        let (shard, descendants) = shard.take().expect("every shard was produced")?;
-        total += descendants;
-        if total > config.max_nodes {
-            return Err(UnfoldError::TooLarge {
-                max_nodes: config.max_nodes,
-            });
-        }
-        collected.push(shard);
-    }
-    builder.absorb_subtrees(&graft_points, collected);
-    Ok(builder)
-}
-
-/// Unfolds the depth-1 subtree rooted at one initial state into a private
-/// builder shard, returning it with its descendant count.
-fn unfold_subtree<M, P>(
-    model: &M,
-    n_agents: u32,
-    state: M::Global,
-    prob: P,
-    n_initial: usize,
-    config: &UnfoldConfig,
-) -> Result<(PpsBuilder<M::Global, P>, usize), UnfoldError>
-where
-    M: ProtocolModel<P>,
-    P: Probability,
-{
-    let mut core = ExpansionCore::new(model, n_agents);
-    let mut builder = PpsBuilder::new(n_agents);
-    let sid = builder.intern(state);
-    let id = builder.initial_interned(sid, prob)?;
-    // Count as if every initial node were already emitted (the sequential
-    // pass has emitted all of them before expanding any subtree).
-    core.node_count = n_initial;
-    if !model.is_terminal(builder.state(sid), 0) {
-        core.frontier.push((id, sid));
-    }
-    core.run_levels(&mut builder, 0, config.horizon, config)?;
-    Ok((builder, core.node_count - n_initial))
+    Ok(Unfolder::new(model, config.clone())?.into_pps())
 }
 
 /// Sentinel for "no memoized expansion" in [`ExpansionCore`]'s dense memo
@@ -519,106 +235,11 @@ const EXPANSION_NONE: u32 = u32::MAX;
 /// an ordinary hash map (see [`ExpansionCore::memo_insert`]).
 const DENSE_MEMO_BUDGET: usize = 1 << 20;
 
-/// The append sink of the expansion loop. Both tree-construction modes —
-/// the initial unfold filling a [`PpsBuilder`] and incremental horizon
-/// growth appending through a [`PpsExtender`] — receive nodes through
-/// this interface, so one expansion engine ([`ExpansionCore`]) serves
-/// both and the two cannot drift apart.
-trait ExpandTarget<G: GlobalState, P: Probability> {
-    /// Interns a global state (see [`PpsBuilder::intern`]).
-    fn intern(&mut self, state: G) -> StateId;
-    /// Resolves an interned state id.
-    fn state(&self, id: StateId) -> &G;
-    /// Appends one child of `parent` (see [`PpsBuilder::child_interned`]).
-    fn child_interned(
-        &mut self,
-        parent: NodeId,
-        state: StateId,
-        prob: P,
-        actions: &[(AgentId, ActionId)],
-    ) -> Result<NodeId, PpsError>;
-    /// Bulk-appends `count` children replayed from a contiguous template
-    /// range (see [`PpsBuilder::children_replayed`]).
-    fn children_replayed(&mut self, parent: NodeId, first_template: NodeId, count: usize)
-        -> NodeId;
-    /// Marks a node's children as a memoized `(state, time)` replay (see
-    /// [`PpsBuilder::mark_children_shared`]).
-    fn mark_children_shared(&mut self, node: NodeId, state: StateId, time: Time);
-}
-
-impl<G: GlobalState, P: Probability> ExpandTarget<G, P> for PpsBuilder<G, P> {
-    fn intern(&mut self, state: G) -> StateId {
-        PpsBuilder::intern(self, state)
-    }
-
-    fn state(&self, id: StateId) -> &G {
-        PpsBuilder::state(self, id)
-    }
-
-    fn child_interned(
-        &mut self,
-        parent: NodeId,
-        state: StateId,
-        prob: P,
-        actions: &[(AgentId, ActionId)],
-    ) -> Result<NodeId, PpsError> {
-        PpsBuilder::child_interned(self, parent, state, prob, actions)
-    }
-
-    fn children_replayed(
-        &mut self,
-        parent: NodeId,
-        first_template: NodeId,
-        count: usize,
-    ) -> NodeId {
-        PpsBuilder::children_replayed(self, parent, first_template, count)
-    }
-
-    fn mark_children_shared(&mut self, node: NodeId, state: StateId, time: Time) {
-        PpsBuilder::mark_children_shared(self, node, state, time);
-    }
-}
-
-impl<G: GlobalState, P: Probability> ExpandTarget<G, P> for PpsExtender<G, P> {
-    fn intern(&mut self, state: G) -> StateId {
-        PpsExtender::intern(self, state)
-    }
-
-    fn state(&self, id: StateId) -> &G {
-        PpsExtender::state(self, id)
-    }
-
-    fn child_interned(
-        &mut self,
-        parent: NodeId,
-        state: StateId,
-        prob: P,
-        actions: &[(AgentId, ActionId)],
-    ) -> Result<NodeId, PpsError> {
-        self.append_child(parent, state, prob, actions)
-    }
-
-    fn children_replayed(
-        &mut self,
-        parent: NodeId,
-        first_template: NodeId,
-        count: usize,
-    ) -> NodeId {
-        self.append_children_replayed(parent, first_template, count)
-    }
-
-    fn mark_children_shared(&mut self, node: NodeId, state: StateId, time: Time) {
-        self.mark_level_children_shared(node, state, time);
-    }
-}
-
 /// The expansion engine: the frontier and every reusable buffer of the
 /// expansion loop, kept separate from the tree being filled (the
-/// [`ExpandTarget`] sink) so the same engine can drive both an initial
-/// unfold and later incremental growth. The sequential entry points run
-/// one engine over the whole frontier; the parallel path runs one per
-/// depth-1 subtree; a retained [`Unfolder`] keeps its engine — memo,
-/// scratch, frontier and all — alive across horizon extensions.
+/// [`PpsExtender`]) so a failed level can roll each back on its own. A
+/// retained [`Unfolder`] keeps its engine — memo, scratch, frontier and
+/// all — alive across horizon extensions.
 ///
 /// The frontier is processed strictly in **level order** (all of time `t`
 /// before any of time `t + 1`), which makes every horizon-`h` tree a
@@ -632,10 +253,11 @@ impl<G: GlobalState, P: Probability> ExpandTarget<G, P> for PpsExtender<G, P> {
 /// every further node that reaches it. Unfolded trees revisit states
 /// heavily — merging and environment branching both funnel into shared
 /// states — which makes this the main saving of the interned pipeline.
-/// Alongside each successor list the memo keeps the sink nodes of
-/// the *first* emission: replays go through the sink's
-/// `children_replayed` fast path (state, probability, and actions shared
-/// from the template node — no per-edge re-validation, no copies).
+/// Alongside each successor list the memo keeps the tree nodes of the
+/// *first* emission: replays go through
+/// [`PpsExtender::append_children_replayed`] (state, probability, and
+/// actions shared from the template node — no per-edge re-validation, no
+/// copies).
 /// Memo keys are dense (`time × StateId`), so the memo is a grown-on-demand
 /// flat table probed with two array reads per node, not a hash map —
 /// bounded by a total-cell budget so deep, state-diverse models (where
@@ -647,7 +269,7 @@ struct ExpansionCore<'m, M: ProtocolModel<P>, P: Probability> {
     /// State nodes emitted so far (the phantom root is not counted).
     node_count: usize,
     /// The current level's nodes still to expand, all at one time:
-    /// (sink node, interned state). States live once in the sink's pool;
+    /// (tree node, interned state). States live once in the tree's pool;
     /// the frontier carries copyable ids, never clones. Only non-terminal
     /// nodes ever enter (their `is_terminal` is consulted exactly once,
     /// when they are pushed).
@@ -792,44 +414,20 @@ where
         }
     }
 
-    /// Expands level by level until the frontier empties or `cap` is
-    /// reached, returning the time the frontier stopped at. Entered with
-    /// the frontier sitting at `time`; every level is expanded atomically
-    /// ([`ExpansionCore::expand_level`]).
-    fn run_levels<T: ExpandTarget<M::Global, P>>(
-        &mut self,
-        sink: &mut T,
-        mut time: Time,
-        cap: Option<Time>,
-        config: &UnfoldConfig,
-    ) -> Result<Time, UnfoldError> {
-        while !self.frontier.is_empty() && cap != Some(time) {
-            if let Some(d) = config.max_depth {
-                if time >= d {
-                    return Err(UnfoldError::DepthExceeded { max_depth: d });
-                }
-            }
-            self.expand_level(sink, time, config, None)?;
-            self.promote_level();
-            time += 1;
-        }
-        Ok(time)
-    }
-
     /// Expands every node of the current frontier (all at `time`) into
-    /// `sink`, collecting the next level's frontier in `self.next`. The
-    /// current frontier is left intact in both outcomes — the caller
-    /// promotes the new level ([`ExpansionCore::promote_level`]) once the
-    /// sink has accepted it, which is what lets a failed
+    /// the open level of `tree`, collecting the next level's frontier in
+    /// `self.next`. The current frontier is left intact in both outcomes —
+    /// the caller promotes the new level ([`ExpansionCore::promote_level`])
+    /// once the level has committed, which is what lets a failed
     /// [`PpsExtender::commit_level`] roll back without a frontier
     /// snapshot. On error the caller rolls the engine back
-    /// ([`ExpansionCore::rollback_level`]); the sink is the caller's to
+    /// ([`ExpansionCore::rollback_level`]); the tree is the caller's to
     /// unwind. When `cancel` is set, the token is polled once per
     /// frontier node and trips through the same error path as a model
     /// failure ([`UnfoldError::Cancelled`]).
-    fn expand_level<T: ExpandTarget<M::Global, P>>(
+    fn expand_level(
         &mut self,
-        sink: &mut T,
+        tree: &mut PpsExtender<M::Global, P>,
         time: Time,
         config: &UnfoldConfig,
         cancel: Option<&CancelToken>,
@@ -857,20 +455,20 @@ where
                 }
                 // One bulk column copy for the whole expansion instead of
                 // `count` interleaved pushes.
-                let base = sink.children_replayed(node, *first_template, count);
+                let base = tree.append_children_replayed(node, *first_template, count);
                 for (k, (succ_id, _, _)) in successors.iter().enumerate() {
-                    if !self.model.is_terminal(sink.state(*succ_id), time + 1) {
+                    if !self.model.is_terminal(tree.state(*succ_id), time + 1) {
                         self.next.push((NodeId(base.0 + k as u32), *succ_id));
                     }
                 }
             } else {
-                self.expand(sink, node, sid, time, config)?;
+                self.expand(tree, node, sid, time, config)?;
             }
             // Every expanded node's children are (re)played from the
-            // memoized `(state, time)` successor list, so the build pass
+            // memoized `(state, time)` successor list, so the commit
             // validates the outgoing distribution once per distinct pair
             // instead of once per node.
-            sink.mark_children_shared(node, sid, time);
+            tree.mark_level_children_shared(node, sid, time);
         }
         Ok(())
     }
@@ -883,10 +481,10 @@ where
     }
 
     /// Rolls the engine back to the state it held before the failed (or
-    /// sink-rejected) [`ExpansionCore::expand_level`]: discards the
+    /// commit-rejected) [`ExpansionCore::expand_level`]: discards the
     /// half-built next level (the expanded frontier is still in place —
     /// it only retires at [`ExpansionCore::promote_level`]), unwinds the
-    /// unwinds the memo via the per-level undo log, truncates the
+    /// memo via the per-level undo log, truncates the
     /// expansion arena (inserts and pushes are 1:1), and restores the
     /// node count. Dense memo rows keep their grown capacity; only the
     /// slots are cleared.
@@ -912,9 +510,9 @@ where
 
     /// Computes a fresh expansion of `(sid, time)`, emits its children
     /// under `node`, and memoizes the successor list.
-    fn expand<T: ExpandTarget<M::Global, P>>(
+    fn expand(
         &mut self,
-        sink: &mut T,
+        tree: &mut PpsExtender<M::Global, P>,
         node: NodeId,
         sid: StateId,
         time: u32,
@@ -935,7 +533,7 @@ where
         // state, into the per-agent scratch buffers.
         for a in 0..self.n_agents {
             let agent = AgentId(a);
-            let local = sink.state(sid).local(agent);
+            let local = tree.state(sid).local(agent);
             let dist = &mut self.per_agent[a as usize];
             dist.clear();
             self.model.moves_into(agent, &local, time, dist);
@@ -980,7 +578,7 @@ where
             }
             self.outcomes.clear();
             self.model
-                .transition_into(sink.state(sid), &self.joint, time, &mut self.outcomes);
+                .transition_into(tree.state(sid), &self.joint, time, &mut self.outcomes);
             validate_distribution(&self.outcomes).map_err(|detail| {
                 UnfoldError::BadModelDistribution {
                     origin: "transition",
@@ -994,7 +592,7 @@ where
                     None => p_env,
                     Some(q) => q.mul(&p_env),
                 };
-                let succ_id = sink.intern(succ);
+                let succ_id = tree.intern(succ);
                 let mut hasher = FxHasher::default();
                 self.actions.hash(&mut hasher);
                 succ_id.hash(&mut hasher);
@@ -1016,7 +614,7 @@ where
             let mut i = 0;
             loop {
                 if i == self.counters.len() {
-                    return self.finish_expansion(sink, node, sid, time, successors, config);
+                    return self.finish_expansion(tree, node, sid, time, successors, config);
                 }
                 self.counters[i] += 1;
                 if self.counters[i] < self.per_agent[i].len() {
@@ -1029,9 +627,9 @@ where
     }
 
     /// Emits the merged successor list under `node` and memoizes it.
-    fn finish_expansion<T: ExpandTarget<M::Global, P>>(
+    fn finish_expansion(
         &mut self,
-        sink: &mut T,
+        tree: &mut PpsExtender<M::Global, P>,
         node: NodeId,
         sid: StateId,
         time: u32,
@@ -1046,11 +644,11 @@ where
                     max_nodes: config.max_nodes,
                 });
             }
-            let child = sink.child_interned(node, *succ_id, p.clone(), actions)?;
+            let child = tree.append_child(node, *succ_id, p.clone(), actions)?;
             if i == 0 {
                 first_child = child;
             }
-            if !self.model.is_terminal(sink.state(*succ_id), time + 1) {
+            if !self.model.is_terminal(tree.state(*succ_id), time + 1) {
                 self.next.push((child, *succ_id));
             }
         }
@@ -1061,23 +659,21 @@ where
     }
 }
 
-/// A retained unfolding session supporting **incremental horizon
-/// extension**: the model, the `(state, time)` expansion memo, the
-/// scratch buffers, the [`StatePool`](pak_core::intern::StatePool), the
-/// per-agent local pools, and the leaf frontier all stay alive across
-/// calls, so growing a tree from horizon `h` to `h + 1`
-/// ([`Unfolder::extend_horizon`]) expands only the previous leaf frontier
-/// and incrementally repairs the derived run/cell indexes through a
-/// [`PpsExtender`] — instead of re-running the whole unfold + build
-/// pipeline.
+/// An unfolding session, and the only way a tree is built from a model:
+/// the model, the `(state, time)` expansion memo, the scratch buffers,
+/// the [`StatePool`](pak_core::intern::StatePool), the per-agent local
+/// pools, and the leaf frontier all stay alive across calls, so growing
+/// a tree from horizon `h` to `h + 1` ([`Unfolder::extend_horizon`])
+/// expands only the previous leaf frontier and incrementally repairs the
+/// derived run/cell indexes through a [`PpsExtender`].
 ///
-/// The grown system is **bit-identical** — pool ids, node order, run
-/// probabilities, cells, action events — to a from-scratch unfold of the
-/// same model capped at the same horizon
-/// (`UnfoldConfig { horizon: Some(h), .. }`): a contract the differential
-/// harness proves across the seeded sweep and every `pak-systems`
-/// protocol. On error, `extend_horizon` rolls both the engine and the
-/// tree back to the previous horizon and the handle stays usable.
+/// [`Unfolder::new`] runs the same level step up to
+/// [`UnfoldConfig::horizon`], so the grown system is **bit-identical** —
+/// pool ids, node order, run probabilities, cells, action events — to a
+/// fresh session of the same model capped at the same horizon
+/// (`UnfoldConfig { horizon: Some(h), .. }`). On error, `extend_horizon`
+/// rolls both the engine and the tree back to the previous horizon and
+/// the handle stays usable.
 ///
 /// # Examples
 ///
@@ -1140,7 +736,9 @@ where
     P: Probability,
 {
     /// Unfolds `model` up to `config.horizon` (or to exhaustion when it is
-    /// `None`) and retains everything needed to grow further.
+    /// `None`) and retains everything needed to grow further: the prior
+    /// is built with a [`PpsBuilder`], and every later level is grown by
+    /// the level step [`Unfolder::extend_horizon`] runs.
     ///
     /// # Errors
     ///
@@ -1160,14 +758,14 @@ where
         let mut core = ExpansionCore::new(model, n_agents);
         let mut builder = PpsBuilder::new(n_agents);
         core.seed(&mut builder, initial)?;
-        let horizon = core.run_levels(&mut builder, 0, config.horizon, &config)?;
-        let pps = builder.build()?;
-        Ok(Unfolder {
+        let mut unfolder = Unfolder {
             config,
             core,
-            extender: PpsExtender::new(pps),
-            horizon,
-        })
+            extender: PpsExtender::new(builder.build()?),
+            horizon: 0,
+        };
+        while unfolder.config.horizon != Some(unfolder.horizon) && unfolder.grow_level(None)? {}
+        Ok(unfolder)
     }
 
     /// The system unfolded so far. Valid (and queryable) after every
@@ -1196,16 +794,16 @@ where
     /// already terminated (the tree is complete; calling again stays
     /// `Ok(false)`).
     ///
-    /// The result after `extend_horizon` is bit-identical to a
-    /// from-scratch unfold capped one level deeper — see the type-level
-    /// docs for the exactness contract.
+    /// The result after `extend_horizon` is bit-identical to a fresh
+    /// session capped one level deeper — see the type-level docs for the
+    /// exactness contract.
     ///
     /// # Errors
     ///
     /// [`UnfoldError::TooLarge`], [`UnfoldError::DepthExceeded`],
     /// [`UnfoldError::BadModelDistribution`], or [`UnfoldError::Pps`],
-    /// exactly as the equivalent from-scratch unfold would report them.
-    /// On error the half-built level is rolled back — nodes, pool
+    /// exactly as a fresh session capped at the next horizon would report
+    /// them. On error the half-built level is rolled back — nodes, pool
     /// entries, memo inserts, frontier — and the handle remains usable at
     /// its previous horizon.
     pub fn extend_horizon(&mut self) -> Result<bool, UnfoldError> {
@@ -1246,6 +844,17 @@ where
             if token.is_cancelled() {
                 return Err(UnfoldError::Cancelled);
             }
+        }
+        self.grow_level(cancel)
+    }
+
+    /// The level step shared by [`Unfolder::new`] and the public extend
+    /// calls: expands the retained frontier into one new level and
+    /// commits it, or rolls both the engine and the tree back on error.
+    /// Returns `Ok(false)` when every path has already terminated.
+    fn grow_level(&mut self, cancel: Option<&CancelToken>) -> Result<bool, UnfoldError> {
+        if self.core.frontier.is_empty() {
+            return Ok(false);
         }
         if let Some(d) = self.config.max_depth {
             if self.horizon >= d {
@@ -1543,19 +1152,20 @@ mod tests {
             fn is_terminal(&self, _s: &SimpleState, _t: u32) -> bool {
                 false
             }
-            fn moves(&self, _a: AgentId, _l: &u64, _t: u32) -> Vec<((), Rational)> {
-                vec![((), Rational::one())]
+            fn moves_into(&self, _a: AgentId, _l: &u64, _t: u32, out: &mut Vec<((), Rational)>) {
+                out.push(((), Rational::one()));
             }
             fn action_of(&self, _mv: &()) -> Option<ActionId> {
                 None
             }
-            fn transition(
+            fn transition_into(
                 &self,
                 s: &SimpleState,
                 _m: &[()],
                 _t: u32,
-            ) -> Vec<(SimpleState, Rational)> {
-                vec![(s.clone(), Rational::one())]
+                out: &mut Vec<(SimpleState, Rational)>,
+            ) {
+                out.push((s.clone(), Rational::one()));
             }
         }
         let cfg = UnfoldConfig {
@@ -1565,139 +1175,6 @@ mod tests {
         };
         let err = unfold_with::<_, Rational>(&Forever, &cfg).unwrap_err();
         assert!(matches!(err, UnfoldError::DepthExceeded { max_depth: 8 }));
-    }
-
-    #[test]
-    fn parallel_unfold_is_identical_to_sequential() {
-        use crate::generator::{random_model, RandomModelConfig};
-        for seed in 0..6u64 {
-            let model = random_model::<Rational>(seed * 31 + 5, &RandomModelConfig::default());
-            let seq = unfold_with_options(
-                &model,
-                &UnfoldConfig::default(),
-                &UnfoldOptions {
-                    parallel_subtrees: Some(false),
-                    ..UnfoldOptions::default()
-                },
-            )
-            .unwrap();
-            let par = unfold_with_options(
-                &model,
-                &UnfoldConfig::default(),
-                &UnfoldOptions {
-                    parallel_subtrees: Some(true),
-                    ..UnfoldOptions::default()
-                },
-            )
-            .unwrap();
-            // Same pool, same ids: the stitched interning order must equal
-            // the sequential one exactly.
-            assert_eq!(seq.num_distinct_states(), par.num_distinct_states());
-            for ((ids, s), (idp, p)) in seq.state_pool().iter().zip(par.state_pool().iter()) {
-                assert_eq!(ids, idp, "seed {seed}");
-                assert_eq!(s, p, "seed {seed}: pool state {ids}");
-            }
-            // Same nodes in the same order, bit-equal edge data.
-            assert_eq!(seq.num_nodes(), par.num_nodes(), "seed {seed}");
-            for n in (1..seq.num_nodes() as u32).map(NodeId) {
-                assert_eq!(seq.parent(n), par.parent(n), "seed {seed}: parent of {n}");
-                assert_eq!(
-                    seq.node_state_id(n),
-                    par.node_state_id(n),
-                    "seed {seed}: state of {n}"
-                );
-                assert_eq!(
-                    seq.node_time(n),
-                    par.node_time(n),
-                    "seed {seed}: time of {n}"
-                );
-            }
-            // Same runs with bit-equal probabilities, same cells.
-            assert_eq!(seq.num_runs(), par.num_runs(), "seed {seed}");
-            for run in seq.run_ids() {
-                assert_eq!(seq.nodes_of(run), par.nodes_of(run), "seed {seed}: {run}");
-                assert_eq!(
-                    seq.run_probability(run),
-                    par.run_probability(run),
-                    "seed {seed}: probability of {run}"
-                );
-            }
-            assert_eq!(seq.num_cells(), par.num_cells(), "seed {seed}");
-            for ((ids, cs), (idp, cp)) in seq.cells().zip(par.cells()) {
-                assert_eq!(ids, idp, "seed {seed}");
-                assert_eq!(cs, cp, "seed {seed}: cell {ids}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_unfold_single_initial_state_falls_back() {
-        // One depth-1 subtree: nothing to partition; the request is
-        // honoured by the sequential path and the result is unchanged.
-        let m: TableModel<Rational> = TableModel {
-            n_agents: 1,
-            initial: vec![(0, vec![0], Rational::one())],
-            horizon: 2,
-            moves: vec![],
-            transitions: vec![],
-            ..TableModel::default()
-        };
-        let par = unfold_with_options(
-            &m,
-            &UnfoldConfig::default(),
-            &UnfoldOptions {
-                parallel_subtrees: Some(true),
-                ..UnfoldOptions::default()
-            },
-        )
-        .unwrap();
-        let seq = unfold::<_, Rational>(&m).unwrap();
-        assert_eq!(par.num_runs(), seq.num_runs());
-        assert_eq!(par.num_nodes(), seq.num_nodes());
-    }
-
-    #[test]
-    fn parallel_unfold_enforces_node_budget() {
-        let m = CoinModel {
-            heads_num: 1,
-            heads_den: 2,
-        };
-        // The coin tree has 4 state nodes across 2 subtrees: a budget of 3
-        // fails in parallel exactly as it does sequentially.
-        for budget in [1usize, 3] {
-            let err = unfold_with_options::<_, Rational>(
-                &m,
-                &UnfoldConfig {
-                    max_nodes: budget,
-                    max_depth: None,
-                    horizon: None,
-                },
-                &UnfoldOptions {
-                    parallel_subtrees: Some(true),
-                    ..UnfoldOptions::default()
-                },
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, UnfoldError::TooLarge { max_nodes } if max_nodes == budget),
-                "budget {budget}: {err:?}"
-            );
-        }
-        // And a budget of exactly 4 succeeds.
-        let pps = unfold_with_options::<_, Rational>(
-            &m,
-            &UnfoldConfig {
-                max_nodes: 4,
-                max_depth: None,
-                horizon: None,
-            },
-            &UnfoldOptions {
-                parallel_subtrees: Some(true),
-                ..UnfoldOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(pps.num_nodes(), 5);
     }
 
     #[test]
@@ -1729,7 +1206,7 @@ mod tests {
     #[test]
     fn extend_horizon_matches_scratch_unfold() {
         // Grow 0 → exhaustion one level at a time; at each step the grown
-        // system must match a from-scratch unfold capped at that horizon.
+        // system must match a fresh unfold capped at that horizon.
         let m: TableModel<Rational> = TableModel {
             n_agents: 2,
             initial: vec![

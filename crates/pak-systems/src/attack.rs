@@ -107,7 +107,7 @@ impl<P: Probability> CoordinatedAttack<P> {
     /// [`ProtocolModel`](pak_protocol::model::ProtocolModel) — what
     /// [`CoordinatedAttack::build_pps`] unfolds, exposed so callers can
     /// drive the model API directly (simulation, differential testing,
-    /// parallel unfolding).
+    /// incremental unfolding).
     #[must_use]
     pub fn model(&self) -> LossyMessagingModel<Self, P> {
         LossyMessagingModel::new(self.clone(), self.loss.clone())
@@ -194,10 +194,6 @@ impl<P: Probability> MessageProtocol<P> for CoordinatedAttack<P> {
 
     fn horizon(&self) -> Time {
         self.rounds + 1
-    }
-
-    fn step(&self, agent: AgentId, local: &GeneralLocal, time: Time) -> Vec<(AgentMove, P)> {
-        vec![(self.move_at(agent, local, time), P::one())]
     }
 
     fn step_into(

@@ -181,10 +181,6 @@ impl<P: Probability> MessageProtocol<P> for Broadcast<P> {
         self.rounds + 1
     }
 
-    fn step(&self, agent: AgentId, local: &BcastLocal, time: Time) -> Vec<(AgentMove, P)> {
-        vec![(self.move_at(agent, local, time), P::one())]
-    }
-
     fn step_into(
         &self,
         agent: AgentId,

@@ -343,10 +343,6 @@ impl<P: Probability> MessageProtocol<P> for FiringSquad<P> {
         3
     }
 
-    fn step(&self, agent: AgentId, local: &FsLocal, time: Time) -> Vec<(AgentMove, P)> {
-        vec![(self.move_at(agent, local, time), P::one())]
-    }
-
     fn step_into(
         &self,
         agent: AgentId,

@@ -204,25 +204,8 @@ impl<P: Probability> ProtocolModel<P> for JudgeScenario<P> {
         time >= 1
     }
 
-    fn moves(&self, _agent: AgentId, local: &u64, _time: Time) -> Vec<(Self::Move, P)> {
-        if *local >= u64::from(self.convict_at) {
-            vec![(Some(CONVICT), P::one())]
-        } else {
-            vec![(None, P::one())]
-        }
-    }
-
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
         *mv
-    }
-
-    fn transition(
-        &self,
-        state: &SimpleState,
-        _moves: &[Self::Move],
-        _time: Time,
-    ) -> Vec<(SimpleState, P)> {
-        vec![(state.clone(), P::one())]
     }
 
     fn moves_into(

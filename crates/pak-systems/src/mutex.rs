@@ -204,25 +204,8 @@ impl<P: Probability> ProtocolModel<P> for RelaxedMutex<P> {
         time >= 1
     }
 
-    fn moves(&self, agent: AgentId, local: &u64, _time: Time) -> Vec<(Self::Move, P)> {
-        if *local == SIG_FREE {
-            vec![(Some(enter_action(agent)), P::one())]
-        } else {
-            vec![(None, P::one())]
-        }
-    }
-
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
         *mv
-    }
-
-    fn transition(
-        &self,
-        state: &SimpleState,
-        _moves: &[Self::Move],
-        _time: Time,
-    ) -> Vec<(SimpleState, P)> {
-        vec![(state.clone(), P::one())]
     }
 
     fn moves_into(&self, agent: AgentId, local: &u64, _time: Time, out: &mut Vec<(Self::Move, P)>) {

@@ -199,32 +199,13 @@ impl<P: Probability> ProtocolModel<P> for ThresholdConstruction<P> {
         time >= 2
     }
 
-    fn moves(&self, agent: AgentId, _local: &u64, time: Time) -> Vec<(Self::Move, P)> {
-        // Round 2: i unconditionally performs α; everything else is a skip
-        // (j's send lives in the environment's transition).
-        if agent == AGENT_I && time == 1 {
-            vec![(Some(ALPHA), P::one())]
-        } else {
-            vec![(None, P::one())]
-        }
-    }
-
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
         *mv
     }
 
-    fn transition(
-        &self,
-        state: &SimpleState,
-        _moves: &[Self::Move],
-        time: Time,
-    ) -> Vec<(SimpleState, P)> {
-        let mut out = Vec::new();
-        self.transition_into(state, _moves, time, &mut out);
-        out
-    }
-
     fn moves_into(&self, agent: AgentId, _local: &u64, time: Time, out: &mut Vec<(Self::Move, P)>) {
+        // Round 2: i unconditionally performs α; everything else is a skip
+        // (j's send lives in the environment's transition).
         let action = (agent == AGENT_I && time == 1).then_some(ALPHA);
         out.push((action, P::one()));
     }

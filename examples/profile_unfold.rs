@@ -1,23 +1,19 @@
 //! Phase profiler for the unfold hot path.
 //!
 //! Prints how interning compacts the tree (distinct states vs nodes) and
-//! the per-iteration cost of the full unfold pipeline on the scaling
-//! benchmark's workloads, split into its two phases:
+//! the per-iteration cost of a full unfold on the scaling benchmark's
+//! workloads, split the way every tree is built:
 //!
-//! * **tree** — protocol enumeration into the raw builder
-//!   (`unfold_to_builder`): moves, transitions, merging, memoized
-//!   expansion replay;
-//! * **build** — the validation/indexing pass (`PpsBuilder::build`): run
-//!   enumeration, distribution validation, cell construction.
+//! * **prior** — `Unfolder::new` at horizon 0: the initial states,
+//!   validated and indexed by `PpsBuilder::build`;
+//! * **levels** — one `extend_horizon` per time step: moves,
+//!   transitions, merging, memoized expansion replay, and the commit that
+//!   validates the new level and repairs the run and cell indexes.
 //!
-//! The build share is the number to watch PR over PR: it is what the
-//! interned build pass (validation memoization, `LocalId` cells,
-//! word-filled run-sets) is meant to keep from dominating. The **extend**
-//! column puts incremental growth next to the rebuild: the cost of
-//! growing a retained `Unfolder` from `horizon − 1` to `horizon` (one
-//! frontier expansion + index repair) vs re-unfolding the whole horizon
-//! tree from scratch. Useful for eyeballing perf work without running
-//! the whole bench suite:
+//! Each level is timed on clones of a handle parked one level short, with
+//! the clone cost subtracted, so the prior and the levels roughly sum to
+//! the full unfold. Useful for eyeballing perf work without running the
+//! whole bench suite:
 //!
 //! ```text
 //! cargo run --release --example profile_unfold
@@ -27,9 +23,16 @@ use std::time::{Duration, Instant};
 
 use pak::num::Rational;
 use pak::protocol::generator::{random_model, RandomModelConfig};
-use pak::protocol::unfold::{
-    unfold_to_builder, unfold_with, unfold_with_options, UnfoldConfig, UnfoldOptions, Unfolder,
-};
+use pak::protocol::unfold::{unfold_with, UnfoldConfig, Unfolder};
+
+/// The mean time of `f` over `iters` calls.
+fn time(iters: u32, mut f: impl FnMut()) -> Duration {
+    let t = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t.elapsed() / iters
+}
 
 fn main() {
     for horizon in [2u32, 3, 4, 5, 6] {
@@ -43,88 +46,38 @@ fn main() {
             actions_per_agent: 2,
         };
         let model = random_model::<Rational>(11, &cfg);
+        let capped = |h: u32| UnfoldConfig {
+            horizon: Some(h),
+            ..UnfoldConfig::default()
+        };
         let pps = unfold_with(&model, &UnfoldConfig::default()).unwrap();
         let iters = (200_000u32 >> horizon).max(1_000);
 
-        // Full pipeline.
-        let t = Instant::now();
-        for _ in 0..iters {
+        let full = time(iters, || {
             std::hint::black_box(unfold_with(&model, &UnfoldConfig::default()).unwrap());
-        }
-        let full = t.elapsed() / iters;
+        });
+        let prior = time(iters, || {
+            std::hint::black_box(Unfolder::<_, Rational>::new(&model, capped(0)).unwrap());
+        });
+        let levels: Vec<Duration> = (1..=horizon)
+            .map(|h| {
+                let parked = Unfolder::<_, Rational>::new(&model, capped(h - 1)).unwrap();
+                let clone = time(iters, || {
+                    std::hint::black_box(parked.clone());
+                });
+                let grown = time(iters, || {
+                    let mut u = parked.clone();
+                    u.extend_horizon().unwrap();
+                    std::hint::black_box(u);
+                });
+                grown.saturating_sub(clone)
+            })
+            .collect();
 
-        // Tree phase alone.
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(
-                unfold_to_builder::<_, Rational>(&model, &UnfoldConfig::default()).unwrap(),
-            );
-        }
-        let tree = t.elapsed() / iters;
-
-        // The build phase is measured directly too (on clones of one
-        // builder, with the clone cost subtracted) as a cross-check; the
-        // headline split below uses full − tree so the two columns sum.
-        let builder = unfold_to_builder::<_, Rational>(&model, &UnfoldConfig::default()).unwrap();
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(builder.clone());
-        }
-        let clone = t.elapsed() / iters;
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(builder.clone().build().unwrap());
-        }
-        let build_direct = (t.elapsed() / iters).saturating_sub(clone);
-
-        // Parallel subtree unfolding on the same workload: one worker per
-        // initial state, stitched back bit-identically. On a single-core
-        // machine this column shows pure threading overhead; on multi-core
-        // boxes it is where the depth-1 partition pays.
-        let options = UnfoldOptions {
-            parallel_subtrees: Some(true),
-            ..UnfoldOptions::default()
-        };
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(
-                unfold_with_options(&model, &UnfoldConfig::default(), &options).unwrap(),
-            );
-        }
-        let threaded = t.elapsed() / iters;
-
-        // Incremental growth: the cost of the final extend(h−1 → h) on a
-        // retained handle, measured on clones of the horizon-(h−1) handle
-        // with the clone cost subtracted — against `full`, the from-scratch
-        // rebuild of the same horizon-h tree.
-        let parked = Unfolder::<_, Rational>::new(
-            &model,
-            UnfoldConfig {
-                horizon: Some(horizon - 1),
-                ..UnfoldConfig::default()
-            },
-        )
-        .unwrap();
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(parked.clone());
-        }
-        let handle_clone = t.elapsed() / iters;
-        let t = Instant::now();
-        for _ in 0..iters {
-            let mut u = parked.clone();
-            u.extend_horizon().unwrap();
-            std::hint::black_box(u);
-        }
-        let extend = (t.elapsed() / iters).saturating_sub(handle_clone);
-
-        let build = full.saturating_sub(tree);
-        let share = |d: Duration| 100.0 * d.as_secs_f64() / full.as_secs_f64().max(1e-12);
+        let levels_text: Vec<String> = levels.iter().map(|d| format!("{d:.2?}")).collect();
         println!(
-            "horizon {horizon}: {full:>9.2?}/unfold = tree {tree:>8.2?} ({:>4.1}%) + build {build:>8.2?} ({:>4.1}%, direct {build_direct:.2?}) | threaded {threaded:>8.2?} | extend {extend:>8.2?} ({:>4.1}% of rebuild) | nodes={:<5} runs={:<4} distinct states={:<3} ({}x shared)",
-            share(tree),
-            share(build),
-            share(extend),
+            "horizon {horizon}: {full:>9.2?}/unfold = prior {prior:>8.2?} + levels [{}] | nodes={:<5} runs={:<4} distinct states={:<3} ({}x shared)",
+            levels_text.join(", "),
             pps.num_nodes(),
             pps.num_runs(),
             pps.num_distinct_states(),

@@ -67,7 +67,7 @@ struct AstModel<'a, P> {
     _p: PhantomData<P>,
 }
 
-impl<'a, P> AstModel<'a, P> {
+impl<'a, P: Probability> AstModel<'a, P> {
     fn base(prog: &'a Program) -> Self {
         AstModel {
             prog,
@@ -104,6 +104,60 @@ impl<'a, P> AstModel<'a, P> {
             .find(|a| a.name.value == name)
             .expect("validated action name");
         ActionId(u32::try_from(a.id.value).expect("validated action id"))
+    }
+
+    fn move_dist(&self, agent: AgentId, local: &u64, time: Time) -> Vec<(Option<ActionId>, P)> {
+        let name = &self.prog.agents[agent.0 as usize].value;
+        for block in &self.prog.moves {
+            if block.agent.value != *name {
+                continue;
+            }
+            for rule in &block.rules {
+                if rule.local.value == *local && rule.time.value == u64::from(time) {
+                    return rule
+                        .dist
+                        .iter()
+                        .map(|arm| {
+                            let mv = match &arm.action.value {
+                                MoveAction::Skip => None,
+                                MoveAction::Named(n) => Some(self.action_id(n)),
+                            };
+                            (
+                                mv,
+                                P::from_ratio(arm.weight.value.num, arm.weight.value.den),
+                            )
+                        })
+                        .collect();
+                }
+            }
+        }
+        vec![(None, P::one())]
+    }
+
+    fn successors(
+        &self,
+        state: &SimpleState,
+        moves: &[Option<ActionId>],
+        time: Time,
+    ) -> Vec<(SimpleState, P)> {
+        for rule in &self.rules {
+            if self.state_tuple(&rule.from.value) == *state
+                && rule.time.value == u64::from(time)
+                && self.guard_matches(rule, moves)
+            {
+                return rule
+                    .dist
+                    .iter()
+                    .map(|arm| {
+                        (
+                            self.state_tuple(&arm.state.value),
+                            P::from_ratio(arm.weight.value.num, arm.weight.value.den),
+                        )
+                    })
+                    .collect();
+            }
+        }
+        vec![(state.clone(), P::one())]
     }
 
     fn guard_matches(&self, rule: &TransRule, moves: &[Option<ActionId>]) -> bool {
@@ -147,62 +201,22 @@ impl<P: Probability> ProtocolModel<P> for AstModel<'_, P> {
         u64::from(time) >= self.prog.horizon.as_ref().expect("validated horizon").value
     }
 
-    fn moves(&self, agent: AgentId, local: &u64, time: Time) -> Vec<(Self::Move, P)> {
-        let name = &self.prog.agents[agent.0 as usize].value;
-        for block in &self.prog.moves {
-            if block.agent.value != *name {
-                continue;
-            }
-            for rule in &block.rules {
-                if rule.local.value == *local && rule.time.value == u64::from(time) {
-                    return rule
-                        .dist
-                        .iter()
-                        .map(|arm| {
-                            let mv = match &arm.action.value {
-                                MoveAction::Skip => None,
-                                MoveAction::Named(n) => Some(self.action_id(n)),
-                            };
-                            (
-                                mv,
-                                P::from_ratio(arm.weight.value.num, arm.weight.value.den),
-                            )
-                        })
-                        .collect();
-                }
-            }
-        }
-        vec![(None, P::one())]
+    fn moves_into(&self, agent: AgentId, local: &u64, time: Time, out: &mut Vec<(Self::Move, P)>) {
+        out.extend(self.move_dist(agent, local, time));
     }
 
     fn action_of(&self, mv: &Self::Move) -> Option<ActionId> {
         *mv
     }
 
-    fn transition(
+    fn transition_into(
         &self,
         state: &SimpleState,
         moves: &[Self::Move],
         time: Time,
-    ) -> Vec<(SimpleState, P)> {
-        for rule in &self.rules {
-            if self.state_tuple(&rule.from.value) == *state
-                && rule.time.value == u64::from(time)
-                && self.guard_matches(rule, moves)
-            {
-                return rule
-                    .dist
-                    .iter()
-                    .map(|arm| {
-                        (
-                            self.state_tuple(&arm.state.value),
-                            P::from_ratio(arm.weight.value.num, arm.weight.value.den),
-                        )
-                    })
-                    .collect();
-            }
-        }
-        vec![(state.clone(), P::one())]
+        out: &mut Vec<(SimpleState, P)>,
+    ) {
+        out.extend(self.successors(state, moves, time));
     }
 }
 

@@ -25,23 +25,15 @@
 //! at a time) is retained as [`reference_cells`], and the sweep asserts
 //! the production pass — per-agent `LocalId` interning, word-filled
 //! run-sets from contiguous run ranges, validation memoized per distinct
-//! expansion, optionally one thread per agent — produces identical
-//! `cells`, `cell_of`, and run ranges, with bit-equal run probabilities,
-//! sequential and threaded.
+//! expansion — produces identical `cells`, `cell_of`, and run ranges,
+//! with bit-equal run probabilities.
 //!
-//! Two further production paths are swept against the same references:
-//!
-//! * the **scratch-buffer model API** — the unfolder drives
-//!   [`ProtocolModel`]'s `moves_into`/`transition_into`; wrapping a model
-//!   in [`VecApiModel`] pins every query to the retained `Vec`-returning
-//!   methods (default `_into` impls), and the two unfolds must be
-//!   identical in every observable, bit-equal probabilities included;
-//! * **parallel subtree unfolding** — `unfold_with_options` with
-//!   `parallel_subtrees` on unfolds each depth-1 subtree on a worker with
-//!   its own pool shard and stitches deterministically; the result must
-//!   equal the sequential system *exactly*: same pool ids, same node
-//!   order, same parents/states/times, bit-equal run probabilities,
-//!   identical cells.
+//! Every tree is grown from its prior one level at a time, so the
+//! incremental sweep checks each intermediate horizon `h` against the
+//! Debug-string reference run on the model with its table horizon set to
+//! `h`, against [`reference_cells`], and separately against a fresh
+//! capped unfold id for id (which proves the retained expansion memo
+//! equals a fresh one).
 //!
 //! A second battery property-tests [`CartesianMoves`]: across randomized
 //! distribution shapes (including singletons and the zero-agent case) the
@@ -56,11 +48,8 @@ use pak::core::generator::SplitMix64;
 use pak::core::prelude::*;
 use pak::num::Rational;
 use pak::protocol::generator::{random_model, RandomModelConfig};
-use pak::protocol::model::{validate_distribution, ProtocolModel, TableModel, VecApiModel};
-use pak::protocol::unfold::{
-    unfold_to_builder, unfold_with, unfold_with_options, CartesianMoves, UnfoldConfig,
-    UnfoldOptions, Unfolder,
-};
+use pak::protocol::model::{validate_distribution, ProtocolModel, TableModel};
+use pak::protocol::unfold::{unfold_with, CartesianMoves, UnfoldConfig, Unfolder};
 
 /// The pre-refactor merge, retained verbatim as the reference semantics:
 /// successors are merged when their Debug-formatted `(actions, state)`
@@ -223,10 +212,10 @@ fn assert_identical(
 /// key, allocate cell ids in first-occurrence order, and accumulate each
 /// cell's member nodes and run-set run by run.
 ///
-/// The production build pass now interns locals per distinct state,
-/// word-fills run-sets from contiguous run ranges, and may construct each
-/// agent's cells on its own thread — this function is what all of that
-/// must stay observably equal to.
+/// The production build pass now interns locals per distinct state and
+/// word-fills run-sets from contiguous run ranges, and extension repairs
+/// cells level by level — this function is what all of that must stay
+/// observably equal to.
 #[allow(clippy::type_complexity)]
 fn reference_cells(
     pps: &Pps<SimpleState, Rational>,
@@ -291,70 +280,12 @@ fn assert_cells_match_reference(got: &Pps<SimpleState, Rational>, ctx: &str) {
     }
 }
 
-/// Builds the same unfolded tree twice — sequential cells and one thread
-/// per agent — and asserts the results are bit-identical in every
-/// observable, including exact run probabilities.
-fn assert_threaded_build_identical(model: &TableModel<Rational>, ctx: &str) {
-    let builder = unfold_to_builder::<_, Rational>(model, &UnfoldConfig::default()).unwrap();
-    let sequential = builder
-        .clone()
-        .build_with(&BuildOptions {
-            parallel_cells: Some(false),
-        })
-        .unwrap();
-    let threaded = builder
-        .build_with(&BuildOptions {
-            parallel_cells: Some(true),
-        })
-        .unwrap();
-    assert_identical(&threaded, &sequential, &format!("{ctx} [threaded]"));
-    for run in sequential.run_ids() {
-        assert_eq!(
-            threaded.run_probability(run),
-            sequential.run_probability(run),
-            "{ctx}: threaded probability of {run}"
-        );
-    }
-    for ((id_t, cell_t), (id_s, cell_s)) in threaded.cells().zip(sequential.cells()) {
-        assert_eq!(id_t, id_s, "{ctx}: threaded cell id order");
-        assert_eq!(cell_t, cell_s, "{ctx}: threaded cell {id_t}");
-    }
-}
-
-/// Unfolds the model twice — sequential and parallel subtree workers —
-/// and asserts the stitched system equals the sequential one *exactly*:
-/// same pool ids in the same order, same node order (parents, state ids,
-/// times), same run arena, bit-equal run probabilities, identical cells.
-fn assert_parallel_unfold_identical(model: &TableModel<Rational>, ctx: &str) {
-    let seq = unfold_with_options(
-        model,
-        &UnfoldConfig::default(),
-        &UnfoldOptions {
-            parallel_subtrees: Some(false),
-            ..UnfoldOptions::default()
-        },
-    )
-    .unwrap();
-    let par = unfold_with_options(
-        model,
-        &UnfoldConfig::default(),
-        &UnfoldOptions {
-            parallel_subtrees: Some(true),
-            ..UnfoldOptions::default()
-        },
-    )
-    .unwrap();
-    // Strict id-level identity — pool ids, node order, runs, cells —
-    // via the shared checker of the differential layer.
-    common::assert_identical_systems(&seq, &par, ctx);
-    // And everything observable, via the shared checker.
-    assert_identical(&par, &seq, &format!("{ctx} [parallel]"));
-}
-
 /// Grows the model's tree one horizon at a time through a retained
-/// [`Unfolder`] handle, asserting at every intermediate horizon that the
-/// grown system is **bit-identical** to a from-scratch unfold capped at
-/// that horizon: same pool ids in the same order, same node order
+/// [`Unfolder`] handle, asserting at every intermediate horizon `h` that
+/// the grown system is observably identical to [`reference_unfold`] of
+/// the model with its table horizon set to `h`, that its cells match
+/// [`reference_cells`], and that it is **bit-identical** to a fresh unfold
+/// capped at `h`: same pool ids in the same order, same node order
 /// (parents, state ids, times), same runs with bit-equal probabilities,
 /// cells id-for-id, same action events.
 fn assert_extension_matches_scratch(model: &TableModel<Rational>, ctx: &str) {
@@ -377,10 +308,16 @@ fn assert_extension_matches_scratch(model: &TableModel<Rational>, ctx: &str) {
         )
         .unwrap();
         let step = format!("{ctx} [grown h={h}]");
-        // Strict id-level identity (pool ids, node order, runs, cells)…
+        // The independent references, on the model truncated at `h`…
+        let truncated = TableModel {
+            horizon: h,
+            ..model.clone()
+        };
+        assert_identical(unfolder.pps(), &reference_unfold(&truncated), &step);
+        assert_cells_match_reference(unfolder.pps(), &step);
+        // …and strict id-level identity (pool ids, node order, runs,
+        // cells) with a fresh session's retained memo.
         common::assert_identical_systems(&scratch, unfolder.pps(), &step);
-        // …and every theory-level observable, action events included.
-        assert_identical(unfolder.pps(), &scratch, &step);
         if !unfolder.extend_horizon().unwrap() {
             break;
         }
@@ -394,8 +331,9 @@ fn assert_extension_matches_scratch(model: &TableModel<Rational>, ctx: &str) {
 #[test]
 fn incremental_extension_matches_scratch_across_sweep() {
     // The same grid as the merge sweep below: a tree grown 1→2→…→h via
-    // `extend_horizon` must be bit-identical to a from-scratch horizon-h
-    // unfold at *every* step, across >100 seeded configurations.
+    // `extend_horizon` must match the references on the model truncated
+    // at h, and be bit-identical to a fresh horizon-h unfold, at *every*
+    // step, across >100 seeded configurations.
     let mut cases = 0usize;
     for n_agents in 1..=3u32 {
         for horizon in 1..=4u32 {
@@ -456,31 +394,11 @@ fn hash_merge_matches_reference_merge_across_sweep() {
                     );
                     assert_identical(&got, &want, &ctx);
                     assert!(got.measure(&got.all_runs()).is_one(), "{ctx}: total");
-                    // The scratch-buffer model API vs the retained
-                    // `Vec`-returning path: `TableModel`'s native `_into`
-                    // implementations against the trait's default impls
-                    // (which route every query through `moves`/
-                    // `transition`), on the same unfolder.
-                    let via_vec_api =
-                        unfold_with(&VecApiModel(model.clone()), &UnfoldConfig::default()).unwrap();
-                    assert_identical(&got, &via_vec_api, &format!("{ctx} [vec-api]"));
-                    for run in got.run_ids() {
-                        assert_eq!(
-                            got.run_probability(run),
-                            via_vec_api.run_probability(run),
-                            "{ctx}: vec-api probability of {run}"
-                        );
-                    }
-                    // Parallel subtree unfolding vs the sequential order:
-                    // pool ids, node order, probabilities, cells.
-                    assert_parallel_unfold_identical(&model, &ctx);
-                    // The build pass itself: interned/word-filled cells vs
-                    // the retained per-node reference, on both the memoized
-                    // production tree and the mark-free reference tree, and
-                    // the threaded path vs the sequential one.
+                    // The cell passes vs the retained per-node reference:
+                    // the level-by-level repair on the production tree and
+                    // the build pass on the hand-built reference tree.
                     assert_cells_match_reference(&got, &ctx);
                     assert_cells_match_reference(&want, &format!("{ctx} [reference tree]"));
-                    assert_threaded_build_identical(&model, &ctx);
                     cases += 1;
                 }
             }
